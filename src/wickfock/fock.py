@@ -42,6 +42,16 @@ class TruncationCaps:
         return not pairs or pairs[-1][0] < self.max_mode
 
 
+def _add_term(acc: dict, key, value) -> None:
+    """Add value into acc[key], dropping the key when the sum is zero."""
+    prev = acc.get(key)
+    total = value if prev is None else prev + value
+    if total:
+        acc[key] = total
+    elif prev is not None:
+        del acc[key]
+
+
 class FockVector:
     """A finitely supported map MultiIndex -> Scalar; zero terms are not stored."""
 
@@ -51,13 +61,7 @@ class FockVector:
         items = terms.items() if isinstance(terms, dict) else terms
         acc: dict[MultiIndex, Scalar] = {}
         for index, coeff in items:
-            if coeff:
-                prev = acc.get(index)
-                total = prev + coeff if prev is not None else coeff
-                if total:
-                    acc[index] = total
-                elif prev is not None:
-                    del acc[index]
+            _add_term(acc, index, coeff)
         object.__setattr__(self, "terms", acc)
 
     @classmethod
@@ -86,12 +90,7 @@ class FockVector:
     def __add__(self, other: "FockVector") -> "FockVector":
         acc = dict(self.terms)
         for index, coeff in other.terms.items():
-            prev = acc.get(index)
-            total = prev + coeff if prev is not None else coeff
-            if total:
-                acc[index] = total
-            elif prev is not None:
-                del acc[index]
+            _add_term(acc, index, coeff)
         return FockVector._raw(acc)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
@@ -173,21 +172,21 @@ class TestVector:
         for mode, coeff in items:
             if mode < 0:
                 raise ValueError("modes must be nonnegative")
-            if coeff:
-                prev = acc.get(mode)
-                total = prev + coeff if prev is not None else coeff
-                if total:
-                    acc[mode] = total
-                elif prev is not None:
-                    del acc[mode]
+            _add_term(acc, mode, coeff)
         object.__setattr__(self, "coeffs", acc)
+
+    @classmethod
+    def _raw(cls, coeffs: dict[int, Scalar]) -> "TestVector":
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "coeffs", coeffs)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("TestVector is immutable")
 
     @classmethod
     def zero(cls) -> "TestVector":
-        return cls({})
+        return cls._raw({})
 
     @classmethod
     def unit(cls, mode: int, coeff: Scalar = ONE) -> "TestVector":
@@ -202,14 +201,8 @@ class TestVector:
     def __add__(self, other: "TestVector") -> "TestVector":
         acc = dict(self.coeffs)
         for mode, coeff in other.coeffs.items():
-            total = acc.get(mode, ZERO) + coeff
-            if total:
-                acc[mode] = total
-            elif mode in acc:
-                del acc[mode]
-        out = TestVector.zero()
-        object.__setattr__(out, "coeffs", acc)
-        return out
+            _add_term(acc, mode, coeff)
+        return TestVector._raw(acc)
 
     def __mul__(self, scalar) -> "TestVector":
         if isinstance(scalar, (int, Fraction)):
@@ -218,9 +211,7 @@ class TestVector:
             return NotImplemented
         if not scalar:
             return TestVector.zero()
-        out = TestVector.zero()
-        object.__setattr__(out, "coeffs", {m: c * scalar for m, c in self.coeffs.items()})
-        return out
+        return TestVector._raw({m: c * scalar for m, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -294,13 +285,7 @@ def wick_product(
             merged = a.concat(b)
             if caps is not None and not caps.admits(merged):
                 continue
-            coeff = ca * cb
-            prev = acc.get(merged)
-            total = prev + coeff if prev is not None else coeff
-            if total:
-                acc[merged] = total
-            elif prev is not None:
-                del acc[merged]
+            _add_term(acc, merged, ca * cb)
     return FockVector._raw(acc)
 
 

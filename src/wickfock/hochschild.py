@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .errors import ArityError, ComplexInconsistencyError, TruncationError
 from .expansion import extract_kernels, reconstruct
-from .fock import FockVector, TruncationCaps, truncate, wick_product
+from .fock import FockVector, TruncationCaps, wick_product
 from .multiindex import (
     VACUUM,
     MultiIndex,
@@ -43,6 +43,7 @@ from .operators import (
     BasisActionTable,
     KernelFamily,
     apply_kernel,
+    _tabulate,
     apply_table,
     basis_labels,
 )
@@ -215,13 +216,12 @@ def table_coboundary(
                 f"caps {caps} too small for coboundary of blocks up to degree "
                 f"{needed} at arity {r}: need max_degree >= {needed + r + 1}"
             )
-    labels = basis_labels(caps)
-    action = {}
-    for row in product(labels, repeat=r + 1):
-        value = truncate(_delta_value(cochain, row), caps)
-        if not value.is_zero():
-            action[row] = value
-    return BasisActionTable(r + 1, caps, action)
+    return _tabulate(
+        r + 1,
+        caps,
+        product(basis_labels(caps), repeat=r + 1),
+        lambda row: _delta_value(cochain, row),
+    )
 
 
 def coboundary(cochain: Cochain, route: str = "kernel") -> Cochain:
@@ -401,12 +401,12 @@ def _table_route_delta(
     so the partial table is exact for this read."""
     cochain = Cochain.from_kernels(family, caps)
     r = family.arity
-    action = {}
-    for row in iter_index_tuples(r + 1, m, range(caps.max_mode)):
-        value = truncate(_delta_value(cochain, row), caps)
-        if not value.is_zero():
-            action[row] = value
-    partial = BasisActionTable(r + 1, caps, action)
+    partial = _tabulate(
+        r + 1,
+        caps,
+        iter_index_tuples(r + 1, m, range(caps.max_mode)),
+        lambda row: _delta_value(cochain, row),
+    )
     return extract_kernels(partial, stratum=(l, m))
 
 

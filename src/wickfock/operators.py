@@ -17,10 +17,10 @@ a finite truncation window: a map from argument label tuples to values.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ArityError, TruncationError
-from .fock import FockVector, TruncationCaps, truncate, wick_product
+from .fock import FockVector, TruncationCaps, _add_term, truncate, wick_product
 from .multiindex import MultiIndex, indices_up_to
 from .scalars import Scalar
 
@@ -35,41 +35,27 @@ def _annihilation_coefficient(multiplicity: int) -> int:
     return multiplicity
 
 
+# increment and decrement are injective, so each target key is written once;
+# the zero filter stays because a mutated coefficient hook may return 0.
+
+
 def apply_creation(mode: int, x: FockVector) -> FockVector:
     """Linear extension of a*_i e_A = c(r_i) e_{A^i}."""
-    acc: dict[MultiIndex, Scalar] = {}
-    for index, coeff in x.terms.items():
-        value = coeff * _creation_coefficient(index.multiplicity(mode))
-        if not value:
-            continue
-        target = index.increment(mode)
-        prev = acc.get(target)
-        total = prev + value if prev is not None else value
-        if total:
-            acc[target] = total
-        elif prev is not None:
-            del acc[target]
-    return FockVector._raw(acc)
+    return FockVector._raw({
+        index.increment(mode): value
+        for index, coeff in x.terms.items()
+        if (value := coeff * _creation_coefficient(index.multiplicity(mode)))
+    })
 
 
 def apply_annihilation(mode: int, x: FockVector) -> FockVector:
     """Linear extension of a_i e_A = c'(r_i) e_{A_i}, zero on absent modes."""
-    acc: dict[MultiIndex, Scalar] = {}
-    for index, coeff in x.terms.items():
-        mult = index.multiplicity(mode)
-        if not mult:
-            continue
-        value = coeff * _annihilation_coefficient(mult)
-        if not value:
-            continue
-        target = index.decrement(mode)
-        prev = acc.get(target)
-        total = prev + value if prev is not None else value
-        if total:
-            acc[target] = total
-        elif prev is not None:
-            del acc[target]
-    return FockVector._raw(acc)
+    return FockVector._raw({
+        index.decrement(mode): value
+        for index, coeff in x.terms.items()
+        if (mult := index.multiplicity(mode))
+        and (value := coeff * _annihilation_coefficient(mult))
+    })
 
 
 def create_by(index: MultiIndex, x: FockVector) -> FockVector:
@@ -142,13 +128,7 @@ class KernelFamily:
             annihilations = tuple(annihilations)
             key = (creation.degree, tuple(j.degree for j in annihilations))
             entry = (creation, annihilations)
-            bucket = blocks.setdefault(key, {})
-            prev = bucket.get(entry)
-            total = prev + coeff if prev is not None else coeff
-            if total:
-                bucket[entry] = total
-            elif prev is not None:
-                del bucket[entry]
+            _add_term(blocks.setdefault(key, {}), entry, coeff)
         return cls(arity, blocks)
 
     @classmethod
@@ -321,11 +301,7 @@ class BasisActionTable:
             raise ValueError("can only add tables with equal arity and caps")
         acc = dict(self.action)
         for row, value in other.action.items():
-            total = acc.get(row, FockVector.zero()) + value
-            if total.is_zero():
-                acc.pop(row, None)
-            else:
-                acc[row] = total
+            _add_term(acc, row, value)
         return BasisActionTable(self.arity, self.caps, acc)
 
     def __eq__(self, other) -> bool:
@@ -374,21 +350,33 @@ def basis_labels(caps: TruncationCaps) -> list[MultiIndex]:
     return indices_up_to(caps.max_degree, range(caps.max_mode))
 
 
+def _tabulate(
+    arity: int,
+    caps: TruncationCaps,
+    rows: Iterable[tuple[MultiIndex, ...]],
+    value_of: Callable[[tuple[MultiIndex, ...]], FockVector],
+) -> BasisActionTable:
+    """The table of the nonzero values of value_of over rows, truncated to caps."""
+    action: dict[tuple[MultiIndex, ...], FockVector] = {}
+    for row in rows:
+        value = truncate(value_of(row), caps)
+        if value:
+            action[row] = value
+    return BasisActionTable(arity, caps, action)
+
+
 def table_from_kernel(family: KernelFamily, caps: TruncationCaps) -> BasisActionTable:
     """Tabulate a kernel family on every label tuple in the window.
 
     Values are truncated to the caps, so for in-window arguments
     ``apply_table(table, args) == truncate(apply_kernel(family, args), caps)``.
     """
-    labels = basis_labels(caps)
-    action: dict[tuple[MultiIndex, ...], FockVector] = {}
-    for row in product(labels, repeat=family.arity):
-        value = truncate(
-            apply_kernel(family, [FockVector.basis(a) for a in row]), caps
-        )
-        if not value.is_zero():
-            action[row] = value
-    return BasisActionTable(family.arity, caps, action)
+    return _tabulate(
+        family.arity,
+        caps,
+        product(basis_labels(caps), repeat=family.arity),
+        lambda row: apply_kernel(family, [FockVector.basis(a) for a in row]),
+    )
 
 
 def apply_table(table: BasisActionTable, args: Sequence[FockVector]) -> FockVector:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ArityError, TruncationError
-from .fock import TestVector, TruncationCaps, coherent, pairing
+from .fock import TestVector, TruncationCaps, _add_term, coherent, pairing
 from .multiindex import VACUUM, MultiIndex, indices_up_to
 from .operators import BasisActionTable, apply_table
 from .scalars import ONE, ZERO, Scalar
@@ -97,12 +97,7 @@ class SymbolPolynomial:
             raise ArityError("cannot add polynomials of different arity")
         acc = dict(self.terms)
         for key, coeff in other.terms.items():
-            prev = acc.get(key)
-            total = prev + coeff if prev is not None else coeff
-            if total:
-                acc[key] = total
-            elif prev is not None:
-                del acc[key]
+            _add_term(acc, key, coeff)
         return SymbolPolynomial._raw(self.arity, acc, self.caps or other.caps)
 
     def __sub__(self, other: "SymbolPolynomial") -> "SymbolPolynomial":
@@ -141,14 +136,7 @@ class SymbolPolynomial:
                 slots = tuple(u.concat(v) for u, v in zip(slots_a, slots_b))
                 if bound is not None and any(u.degree > bound for u in slots):
                     continue
-                key = (slots, eta)
-                coeff = ca * cb
-                prev = acc.get(key)
-                total = prev + coeff if prev is not None else coeff
-                if total:
-                    acc[key] = total
-                elif prev is not None:
-                    del acc[key]
+                _add_term(acc, (slots, eta), ca * cb)
         return SymbolPolynomial._raw(self.arity, acc, region or self.caps or other.caps)
 
     def __mul__(self, other):
@@ -209,8 +197,7 @@ class SymbolPolynomial:
         for term in data["terms"]:
             slots = tuple(MultiIndex.from_json(u) for u in term["xi"])
             key = (slots, MultiIndex.from_json(term["eta"]))
-            coeff = Scalar.from_json_fields(term)
-            terms[key] = terms.get(key, ZERO) + coeff
+            _add_term(terms, key, Scalar.from_json_fields(term))
         return cls(int(data["arity"]), terms)
 
 
@@ -248,14 +235,7 @@ def symbol_poly(table: BasisActionTable) -> SymbolPolynomial:
         for label in row:
             weight /= label.pairing_weight
         for out_index, coeff in value.terms.items():
-            key = (row, out_index)
-            add = coeff * weight
-            prev = terms.get(key)
-            total = prev + add if prev is not None else add
-            if total:
-                terms[key] = total
-            elif prev is not None:
-                del terms[key]
+            terms[(row, out_index)] = coeff * weight
     return SymbolPolynomial._raw(table.arity, terms, table.caps)
 
 
