@@ -142,12 +142,7 @@ def rand_scalar(rng: Random, allow_zero: bool = True) -> Scalar:
 
 
 def rand_multiindex(rng: Random, max_mode: int, max_degree: int) -> MultiIndex:
-    degree = rng.randint(0, max_degree)
-    pattern: dict[int, int] = {}
-    for _ in range(degree):
-        mode = rng.randrange(max_mode)
-        pattern[mode] = pattern.get(mode, 0) + 1
-    return MultiIndex(pattern)
+    return _rand_index_of_degree(rng, max_mode, rng.randint(0, max_degree))
 
 
 def rand_fock(

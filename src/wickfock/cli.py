@@ -63,15 +63,17 @@ def _caps_from_flags(max_mode, max_degree) -> TruncationCaps:
     return TruncationCaps(max_mode, max_degree)
 
 
+def _operator_from_json(data) -> BasisActionTable | KernelFamily:
+    if "rows" in data:
+        return BasisActionTable.from_json(data)
+    return KernelFamily.from_json(data)
+
+
 def _load_operator_table(path, max_mode, max_degree) -> BasisActionTable:
-    data = _load_json(path)
-    try:
-        if "rows" in data:
-            return BasisActionTable.from_json(data)
-        family = KernelFamily.from_json(data)
-    except (WickfockError, ValueError, KeyError, TypeError) as exc:
-        _fail(f"{path} is not a valid operator: {exc}")
-    return reconstruct(family, _caps_from_flags(max_mode, max_degree))
+    operator = _parse(path, _operator_from_json, "operator")
+    if isinstance(operator, BasisActionTable):
+        return operator
+    return reconstruct(operator, _caps_from_flags(max_mode, max_degree))
 
 
 @click.group()
@@ -120,7 +122,7 @@ def norm(file, k, c_text):
     try:
         c = parse_fraction(c_text)
         value = norm_squared(x, k, c)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         _fail(str(exc))
     _emit({"value": format_fraction(value)})
 

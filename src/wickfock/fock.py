@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .multiindex import VACUUM, MultiIndex
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _json_int
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,7 @@ class TestVector:
     @classmethod
     def from_json(cls, data: dict) -> "TestVector":
         return cls(
-            (int(c["mode"]), Scalar.from_json_fields(c)) for c in data["coeffs"]
+            (_json_int(c["mode"]), Scalar.from_json_fields(c)) for c in data["coeffs"]
         )
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
+from .scalars import _json_int
+
 
 class MultiIndex:
     """An immutable occupation pattern, stored sorted by mode.
@@ -194,7 +196,7 @@ class MultiIndex:
 
     @classmethod
     def from_json(cls, data: list) -> "MultiIndex":
-        return cls((int(m), int(r)) for m, r in data)
+        return cls((_json_int(m), _json_int(r)) for m, r in data)
 
 
 VACUUM = MultiIndex()

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import ArityError, TruncationError
 from .fock import FockVector, TruncationCaps, _add_term, truncate, wick_product
 from .multiindex import MultiIndex, indices_up_to
-from .scalars import Scalar
+from .scalars import Scalar, _json_int
 
 
 def _creation_coefficient(multiplicity: int) -> int:
@@ -217,7 +217,7 @@ class KernelFamily:
 
     @classmethod
     def from_json(cls, data: dict) -> "KernelFamily":
-        arity = int(data["arity"])
+        arity = _json_int(data["arity"])
         triples = []
         for block in data["blocks"]:
             for entry in block["entries"]:
@@ -334,7 +334,7 @@ class BasisActionTable:
     @classmethod
     def from_json(cls, data: dict) -> "BasisActionTable":
         caps = TruncationCaps(
-            int(data["caps"]["max_mode"]), int(data["caps"]["max_degree"])
+            _json_int(data["caps"]["max_mode"]), _json_int(data["caps"]["max_degree"])
         )
         action = {
             tuple(MultiIndex.from_json(a) for a in row["args"]): FockVector.from_json(
@@ -342,7 +342,7 @@ class BasisActionTable:
             )
             for row in data["rows"]
         }
-        return cls(int(data["arity"]), caps, action)
+        return cls(_json_int(data["arity"]), caps, action)
 
 
 def basis_labels(caps: TruncationCaps) -> list[MultiIndex]:

@@ -6,14 +6,31 @@ rationals.  All arithmetic is exact; floating point never appears.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 RationalLike = int | Fraction
 
+_RATIONAL = re.compile(r"(?P<p>[+-]?[0-9]+)(?:/(?P<q>[0-9]+))?")
+
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse a rational written as "p/q" or "p", with optional sign."""
-    return Fraction(text.strip())
+    """Parse a rational written as "p/q" or "p", with optional sign.
+
+    Only strings of that form with q != 0 are accepted; anything else
+    (JSON numbers, decimals, exponents) raises ValueError.
+    """
+    match = _RATIONAL.fullmatch(text.strip()) if isinstance(text, str) else None
+    if match is None or match["q"] is not None and not int(match["q"]):
+        raise ValueError(f"expected a rational string 'p' or 'p/q', got {text!r}")
+    return Fraction(int(match["p"]), int(match["q"] or 1))
+
+
+def _json_int(value) -> int:
+    """A JSON integer field; bools, floats and strings raise ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"expected a JSON integer, got {value!r}")
+    return value
 
 
 def format_fraction(value: Fraction) -> str:

@@ -26,7 +26,7 @@ from .errors import ArityError, TruncationError
 from .fock import TestVector, TruncationCaps, _add_term, coherent, pairing
 from .multiindex import VACUUM, MultiIndex, indices_up_to
 from .operators import BasisActionTable, apply_table
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _json_int
 
 TermKey = tuple[tuple[MultiIndex, ...], MultiIndex]
 
@@ -198,7 +198,7 @@ class SymbolPolynomial:
             slots = tuple(MultiIndex.from_json(u) for u in term["xi"])
             key = (slots, MultiIndex.from_json(term["eta"]))
             _add_term(terms, key, Scalar.from_json_fields(term))
-        return cls(int(data["arity"]), terms)
+        return cls(_json_int(data["arity"]), terms)
 
 
 def symbol_numeric(

@@ -201,3 +201,36 @@ def test_outputs_reparse_canonically(tmp_path, runner):
     echo = write_json(tmp_path, "echo.json", json.loads(first.output))
     second = runner.invoke(main, ["wick", echo, b])
     assert first.output == second.output
+
+
+def _term(index, re="1", im="0"):
+    return {"terms": [{"index": index, "re": re, "im": im}]}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("wick", _term([[0, 1.7]])),
+        ("wick", _term([[0, True]])),
+        ("wick", _term([[0, 1]], re=1)),
+        ("wick", _term([[0, 1]], re="1/0")),
+        ("wick", _term([[0, 1]], re="1.5e3")),
+        ("coherent", {"coeffs": [{"mode": True, "re": "1"}]}),
+        ("apply", {"arity": 1.0, "blocks": []}),
+        ("expand", {"arity": 1, "caps": {"max_mode": "1", "max_degree": 1}, "rows": []}),
+    ],
+    ids=[
+        "float-multiplicity", "bool-multiplicity", "numeric-re", "zero-denominator",
+        "exponent-re", "bool-mode", "float-arity", "string-cap",
+    ],
+)
+def test_non_integer_or_non_rational_json_exits_2(tmp_path, runner, command, payload):
+    bad = write_json(tmp_path, "bad.json", payload)
+    extra = {
+        "wick": [write_json(tmp_path, "vac.json", FockVector.vacuum().to_json())],
+        "coherent": ["--max-degree", "1"],
+    }.get(command, [])
+    result = runner.invoke(main, [command, bad, *extra])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "is not a valid" in result.stderr

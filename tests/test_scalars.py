@@ -58,6 +58,10 @@ def test_fraction_strings():
     assert format_fraction(Fraction(-4)) == "-4"
     assert parse_fraction("-7/3") == Fraction(-7, 3)
     assert parse_fraction("5") == 5
+    assert parse_fraction(" +6/4 ") == Fraction(3, 2)
+    for bad in ("1/0", "1.5e3", "0.5", "1_000", "1 / 2", "", 1, None, True):
+        with pytest.raises(ValueError):
+            parse_fraction(bad)
 
 
 @given(rationals, rationals)
