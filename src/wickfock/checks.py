@@ -120,11 +120,7 @@ class _Recorder:
             )
 
     def require(self, check: str, case: str, condition: bool, inputs: str = ""):
-        self.case(check)
-        if not condition:
-            self.report.failures.append(
-                CheckFailure(check, self.seed, case, inputs, "True", "False")
-            )
+        self.expect(check, case, True, bool(condition), inputs)
 
 
 # -- deterministic generators ------------------------------------------------------

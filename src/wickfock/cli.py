@@ -64,9 +64,7 @@ def _caps_from_flags(max_mode, max_degree) -> TruncationCaps:
 
 
 def _operator_from_json(data) -> BasisActionTable | KernelFamily:
-    if "rows" in data:
-        return BasisActionTable.from_json(data)
-    return KernelFamily.from_json(data)
+    return (BasisActionTable if "rows" in data else KernelFamily).from_json(data)
 
 
 def _load_operator_table(path, max_mode, max_degree) -> BasisActionTable:

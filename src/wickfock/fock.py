@@ -359,12 +359,9 @@ def wick_power(xi: TestVector, n: int) -> FockVector:
     if n < 0:
         raise ValueError("power must be nonnegative")
     factor = Scalar(math.factorial(n))
-    acc = {
-        index: value * factor
-        for index, value in _monomials_over(xi, n)
-        if index.degree == n
-    }
-    return FockVector._raw({i: c for i, c in acc.items() if c})
+    return FockVector._raw(
+        {i: c * factor for i, c in _monomials_over(xi, n) if i.degree == n}
+    )
 
 
 def s_transform(x: FockVector, eta: TestVector) -> Scalar:

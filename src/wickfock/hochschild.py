@@ -42,8 +42,8 @@ from .multiindex import (
 from .operators import (
     BasisActionTable,
     KernelFamily,
-    apply_kernel,
     _tabulate,
+    apply_kernel,
     apply_table,
     basis_labels,
 )
@@ -216,12 +216,8 @@ def table_coboundary(
                 f"caps {caps} too small for coboundary of blocks up to degree "
                 f"{needed} at arity {r}: need max_degree >= {needed + r + 1}"
             )
-    return _tabulate(
-        r + 1,
-        caps,
-        product(basis_labels(caps), repeat=r + 1),
-        lambda row: _delta_value(cochain, row),
-    )
+    rows = product(basis_labels(caps), repeat=r + 1)
+    return _tabulate(r + 1, caps, rows, lambda row: _delta_value(cochain, row))
 
 
 def coboundary(cochain: Cochain, route: str = "kernel") -> Cochain:
@@ -401,12 +397,8 @@ def _table_route_delta(
     so the partial table is exact for this read."""
     cochain = Cochain.from_kernels(family, caps)
     r = family.arity
-    partial = _tabulate(
-        r + 1,
-        caps,
-        iter_index_tuples(r + 1, m, range(caps.max_mode)),
-        lambda row: _delta_value(cochain, row),
-    )
+    rows = iter_index_tuples(r + 1, m, range(caps.max_mode))
+    partial = _tabulate(r + 1, caps, rows, lambda row: _delta_value(cochain, row))
     return extract_kernels(partial, stratum=(l, m))
 
 

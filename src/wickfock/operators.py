@@ -37,25 +37,27 @@ def _annihilation_coefficient(multiplicity: int) -> int:
 
 # increment and decrement are injective, so each target key is written once;
 # the zero filter stays because a mutated coefficient hook may return 0.
-
-
 def apply_creation(mode: int, x: FockVector) -> FockVector:
     """Linear extension of a*_i e_A = c(r_i) e_{A^i}."""
-    return FockVector._raw({
-        index.increment(mode): value
-        for index, coeff in x.terms.items()
-        if (value := coeff * _creation_coefficient(index.multiplicity(mode)))
-    })
+    return FockVector._raw(
+        {
+            index.increment(mode): value
+            for index, coeff in x.terms.items()
+            if (value := coeff * _creation_coefficient(index.multiplicity(mode)))
+        }
+    )
 
 
 def apply_annihilation(mode: int, x: FockVector) -> FockVector:
     """Linear extension of a_i e_A = c'(r_i) e_{A_i}, zero on absent modes."""
-    return FockVector._raw({
-        index.decrement(mode): value
-        for index, coeff in x.terms.items()
-        if (mult := index.multiplicity(mode))
-        and (value := coeff * _annihilation_coefficient(mult))
-    })
+    return FockVector._raw(
+        {
+            index.decrement(mode): value
+            for index, coeff in x.terms.items()
+            if (mult := index.multiplicity(mode))
+            and (value := coeff * _annihilation_coefficient(mult))
+        }
+    )
 
 
 def create_by(index: MultiIndex, x: FockVector) -> FockVector:
@@ -164,8 +166,8 @@ class KernelFamily:
     def __add__(self, other: "KernelFamily") -> "KernelFamily":
         if other.arity != self.arity:
             raise ArityError("cannot add kernel families of different arity")
-        merged = list(self._triples()) + list(other._triples())
-        return KernelFamily.from_entries(self.arity, merged)
+        merged = self.entries() + other.entries()
+        return KernelFamily.from_entries(self.arity, [(i, j, c) for (i, j), c in merged])
 
     def __mul__(self, scalar) -> "KernelFamily":
         if not isinstance(scalar, Scalar):
@@ -179,10 +181,6 @@ class KernelFamily:
 
     def __sub__(self, other: "KernelFamily") -> "KernelFamily":
         return self + other * Scalar(-1)
-
-    def _triples(self):
-        for (creation, annihilations), coeff in self.entries():
-            yield creation, annihilations, coeff
 
     def __eq__(self, other) -> bool:
         return (
@@ -351,10 +349,7 @@ def basis_labels(caps: TruncationCaps) -> list[MultiIndex]:
 
 
 def _tabulate(
-    arity: int,
-    caps: TruncationCaps,
-    rows: Iterable[tuple[MultiIndex, ...]],
-    value_of: Callable[[tuple[MultiIndex, ...]], FockVector],
+    arity: int, caps: TruncationCaps, rows: Iterable, value_of: Callable
 ) -> BasisActionTable:
     """The table of the nonzero values of value_of over rows, truncated to caps."""
     action: dict[tuple[MultiIndex, ...], FockVector] = {}

@@ -11,19 +11,19 @@ from fractions import Fraction
 
 RationalLike = int | Fraction
 
-_RATIONAL = re.compile(r"(?P<p>[+-]?[0-9]+)(?:/(?P<q>[0-9]+))?")
+# An optional sign, digits, and optionally "/" and digits that are not all 0.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse a rational written as "p/q" or "p", with optional sign.
+    """Parse a rational written as "p/q" or "p", with optional sign and q != 0.
 
-    Only strings of that form with q != 0 are accepted; anything else
-    (JSON numbers, decimals, exponents) raises ValueError.
+    Anything else, JSON numbers and decimal or exponent forms included,
+    raises ValueError.
     """
-    match = _RATIONAL.fullmatch(text.strip()) if isinstance(text, str) else None
-    if match is None or match["q"] is not None and not int(match["q"]):
+    if not (isinstance(text, str) and _RATIONAL.fullmatch(text.strip())):
         raise ValueError(f"expected a rational string 'p' or 'p/q', got {text!r}")
-    return Fraction(int(match["p"]), int(match["q"] or 1))
+    return Fraction(text.strip())
 
 
 def _json_int(value) -> int:
