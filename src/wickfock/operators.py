@@ -39,25 +39,22 @@ def _annihilation_coefficient(multiplicity: int) -> int:
 # the zero filter stays because a mutated coefficient hook may return 0.
 def apply_creation(mode: int, x: FockVector) -> FockVector:
     """Linear extension of a*_i e_A = c(r_i) e_{A^i}."""
-    return FockVector._raw(
-        {
-            index.increment(mode): value
-            for index, coeff in x.terms.items()
-            if (value := coeff * _creation_coefficient(index.multiplicity(mode)))
-        }
-    )
+    terms: dict[MultiIndex, Scalar] = {}
+    for index, coeff in x.terms.items():
+        value = coeff * _creation_coefficient(index.multiplicity(mode))
+        if value:
+            terms[index.increment(mode)] = value
+    return FockVector._raw(terms)
 
 
 def apply_annihilation(mode: int, x: FockVector) -> FockVector:
     """Linear extension of a_i e_A = c'(r_i) e_{A_i}, zero on absent modes."""
-    return FockVector._raw(
-        {
-            index.decrement(mode): value
-            for index, coeff in x.terms.items()
-            if (mult := index.multiplicity(mode))
-            and (value := coeff * _annihilation_coefficient(mult))
-        }
-    )
+    terms: dict[MultiIndex, Scalar] = {}
+    for index, coeff in x.terms.items():
+        mult = index.multiplicity(mode)
+        if mult and (value := coeff * _annihilation_coefficient(mult)):
+            terms[index.decrement(mode)] = value
+    return FockVector._raw(terms)
 
 
 def create_by(index: MultiIndex, x: FockVector) -> FockVector:
