@@ -45,6 +45,10 @@ CASES = {
     "delta_kernel": ["delta", _in("kernel_1.json")],
     "delta_table": ["delta", _in("kernel_1.json"), "--route", "table"],
     "delta_kernel_2": ["delta", _in("kernel_2.json")],
+    "delta_table_2": ["delta", _in("kernel_2_mode0.json"), "--route", "table"],
+    "delta_table_caps": [
+        "delta", _in("kernel_1.json"), "--route", "table", "--max-mode", "1", "--max-degree", "5",
+    ],
     "cohomology_kernel": ["cohomology", "--r", "1", "--l", "1", "--m", "2", "--modes", "3"],
     "cohomology_table": [
         "cohomology", "--r", "1", "--l", "1", "--m", "2", "--modes", "3", "--route", "table",
