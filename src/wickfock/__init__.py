@@ -30,7 +30,6 @@ from .fock import (
 from .hochschild import (
     Cochain,
     RationalMatrix,
-    coboundary,
     coboundary_matrix,
     cohomology_dims,
     cohomology_report,
@@ -75,7 +74,6 @@ __all__ = [
     "apply_creation",
     "apply_kernel",
     "apply_table",
-    "coboundary",
     "coboundary_matrix",
     "coherent",
     "cohomology_dims",

@@ -26,7 +26,7 @@ from .fock import (
     pairing,
     wick_product,
 )
-from .hochschild import Cochain, cohomology_report, coboundary
+from .hochschild import Cochain, cohomology_report, kernel_coboundary, table_coboundary
 from .operators import BasisActionTable, KernelFamily, apply_kernel
 from .scalars import format_fraction, parse_fraction
 from .symbolcalc import symbol_numeric, symbol_poly
@@ -60,6 +60,8 @@ def _emit(obj):
 def _caps_from_flags(max_mode, max_degree) -> TruncationCaps:
     if max_mode is None or max_degree is None:
         _fail("this input needs --max-mode and --max-degree")
+    if max_mode < 0 or max_degree < 0:
+        _fail(f"caps must be nonnegative, got max_mode={max_mode}, max_degree={max_degree}")
     return TruncationCaps(max_mode, max_degree)
 
 
@@ -203,15 +205,15 @@ def delta(op_file, route, max_mode, max_degree):
     if max_degree is None:
         top = max((l + sum(m) for l, m in family.blocks), default=0)
         max_degree = top + family.arity + 1
-    cochain = Cochain.from_kernels(family, TruncationCaps(max_mode, max_degree))
+    caps = _caps_from_flags(max_mode, max_degree)
     try:
-        result = coboundary(cochain, route=route)
+        if route == "kernel":
+            result = kernel_coboundary(family)
+        else:
+            result = table_coboundary(Cochain.from_kernels(family, caps))
     except WickfockError as exc:
         _fail(str(exc))
-    if route == "kernel":
-        _emit(result.kernels.to_json())
-    else:
-        _emit(result.table.to_json())
+    _emit(result.to_json())
 
 
 @main.command()
@@ -232,7 +234,7 @@ def cohomology(arity, l_degree, m_degree, modes, max_degree, route):
         _fail("all of --r, --l, --m, --modes must be nonnegative")
     if max_degree is None:
         max_degree = l_degree + m_degree + arity + 1
-    caps = TruncationCaps(modes, max_degree)
+    caps = _caps_from_flags(modes, max_degree)
     try:
         report = cohomology_report(arity, l_degree, m_degree, caps, route=route)
     except WickfockError as exc:

@@ -268,24 +268,12 @@ class TestVector:
 # -- operations ------------------------------------------------------------------
 
 
-def wick_product(
-    x: FockVector, y: FockVector, caps: TruncationCaps | None = None
-) -> FockVector:
-    """Bilinear extension of e_A * e_B = e_{A concat B}.
-
-    With ``caps`` the result is truncated on the fly, which is identical to
-    ``truncate(wick_product(x, y), caps)`` but skips out-of-window work.
-    """
+def wick_product(x: FockVector, y: FockVector) -> FockVector:
+    """Bilinear extension of e_A * e_B = e_{A concat B}."""
     acc: dict[MultiIndex, Scalar] = {}
-    max_degree = caps.max_degree if caps else None
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
-            if max_degree is not None and a.degree + b.degree > max_degree:
-                continue
-            merged = a.concat(b)
-            if caps is not None and not caps.admits(merged):
-                continue
-            _add_term(acc, merged, ca * cb)
+            _add_term(acc, a.concat(b), ca * cb)
     return FockVector._raw(acc)
 
 

@@ -17,8 +17,9 @@ Two realizations are provided and must agree:
   truncates values, which reproduces the symbol route tabulated there.
 
 Zero-cochains are algebra elements; the algebra is commutative, so their
-coboundary (the commutator cochain) vanishes identically, and the degree-0
-cohomology at a stratum is the whole stratum.
+coboundary (the commutator cochain) vanishes identically: every column of an
+r = 0 coboundary matrix is zero, and the degree-0 cohomology at a stratum is
+the whole stratum.
 
 Cohomology dimensions come from exact fraction-arithmetic Gaussian
 elimination on the stratum-by-stratum coboundary matrices.
@@ -26,11 +27,13 @@ elimination on the stratum-by-stratum coboundary matrices.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .errors import ArityError, ComplexInconsistencyError, TruncationError
-from .expansion import extract_kernels, reconstruct
+from .errors import ComplexInconsistencyError, TruncationError
+from .expansion import extract_kernels
 from .fock import FockVector, TruncationCaps, wick_product
 from .multiindex import (
     VACUUM,
@@ -44,7 +47,6 @@ from .operators import (
     KernelFamily,
     _tabulate,
     apply_kernel,
-    apply_table,
     basis_labels,
 )
 from .scalars import ONE, ZERO, Scalar
@@ -55,105 +57,21 @@ def _term_sign(i: int) -> int:
     return -1 if i % 2 else 1
 
 
+@dataclass(frozen=True)
 class Cochain:
-    """A multilinear cochain with a kernel and/or table representation.
+    """A multilinear cochain: its kernel family, and the window on which the
+    table route tabulates its coboundary."""
 
-    Either representation determines the other (through extraction and
-    reconstruction on the caps), so constructors accept one and the matching
-    property converts lazily.  Arity 0 is the algebra itself: the cochain is
-    a plain FockVector.
-    """
-
-    __slots__ = ("arity", "caps", "_kernels", "_table", "_element")
-
-    def __init__(
-        self,
-        arity: int,
-        caps: TruncationCaps,
-        kernels: KernelFamily | None = None,
-        table: BasisActionTable | None = None,
-        element: FockVector | None = None,
-    ):
-        if arity < 0:
-            raise ValueError("arity must be nonnegative")
-        if arity == 0:
-            if element is None:
-                raise ValueError("arity-0 cochain needs an algebra element")
-        elif kernels is None and table is None:
-            raise ValueError("cochain needs a kernel family or a table")
-        if kernels is not None and kernels.arity != arity:
-            raise ArityError("kernel arity does not match cochain arity")
-        if table is not None and (table.arity != arity or table.caps != caps):
-            raise ArityError("table does not match cochain arity/caps")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "caps", caps)
-        object.__setattr__(self, "_kernels", kernels)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_element", element)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cochain is immutable")
+    kernels: KernelFamily
+    caps: TruncationCaps
 
     @classmethod
     def from_kernels(cls, kernels: KernelFamily, caps: TruncationCaps) -> "Cochain":
-        return cls(kernels.arity, caps, kernels=kernels)
-
-    @classmethod
-    def from_table(cls, table: BasisActionTable) -> "Cochain":
-        return cls(table.arity, table.caps, table=table)
-
-    @classmethod
-    def from_element(cls, element: FockVector, caps: TruncationCaps) -> "Cochain":
-        return cls(0, caps, element=element)
+        return cls(kernels, caps)
 
     @property
-    def kernels(self) -> KernelFamily:
-        if self.arity == 0:
-            raise ArityError("arity-0 cochains carry no kernel family")
-        if self._kernels is None:
-            object.__setattr__(self, "_kernels", extract_kernels(self._table))
-        return self._kernels
-
-    @property
-    def table(self) -> BasisActionTable:
-        if self.arity == 0:
-            raise ArityError("arity-0 cochains carry no table")
-        if self._table is None:
-            object.__setattr__(self, "_table", reconstruct(self._kernels, self.caps))
-        return self._table
-
-    @property
-    def element(self) -> FockVector:
-        if self.arity != 0:
-            raise ArityError("only arity-0 cochains carry an element")
-        return self._element
-
-    def evaluate(self, args: Sequence[FockVector]) -> FockVector:
-        """Apply to arguments: exactly via kernels when available, else by table."""
-        if self.arity == 0:
-            if args:
-                raise ArityError("arity-0 cochain takes no arguments")
-            return self._element
-        if self._kernels is not None:
-            return apply_kernel(self._kernels, args)
-        return apply_table(self._table, args)
-
-    def is_zero(self) -> bool:
-        if self.arity == 0:
-            return self._element.is_zero()
-        if self._kernels is not None:
-            return self._kernels.is_zero()
-        return self._table.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cochain) or self.arity != other.arity:
-            return NotImplemented if not isinstance(other, Cochain) else False
-        if self.arity == 0:
-            return self._element == other._element
-        return self.kernels == other.kernels and self.caps == other.caps
-
-    def __repr__(self) -> str:
-        return f"Cochain(arity={self.arity}, caps={self.caps})"
+    def arity(self) -> int:
+        return self.kernels.arity
 
 
 # -- coboundary, symbol route ----------------------------------------------------
@@ -179,57 +97,34 @@ def kernel_coboundary(family: KernelFamily) -> KernelFamily:
 # -- coboundary, table route -----------------------------------------------------
 
 
-def _delta_value(cochain: Cochain, row: Sequence[MultiIndex]) -> FockVector:
+def _delta_value(family: KernelFamily, row: Sequence[MultiIndex]) -> FockVector:
     """The defining alternating sum evaluated on one tuple of basis labels."""
-    r = cochain.arity
+    r = family.arity
     basis = [FockVector.basis(label) for label in row]
-    total = wick_product(basis[0], cochain.evaluate(basis[1:])) * Scalar(_term_sign(0))
+    total = wick_product(basis[0], apply_kernel(family, basis[1:])) * Scalar(_term_sign(0))
     for i in range(1, r + 1):
         merged = FockVector.basis(row[i - 1].concat(row[i]))
         args = basis[: i - 1] + [merged] + basis[i + 1 :]
-        total = total + cochain.evaluate(args) * Scalar(_term_sign(i))
+        total = total + apply_kernel(family, args) * Scalar(_term_sign(i))
     total = total + wick_product(
-        cochain.evaluate(basis[:r]), basis[r]
+        apply_kernel(family, basis[:r]), basis[r]
     ) * Scalar(_term_sign(r + 1))
     return total
 
 
-def table_coboundary(
-    cochain: Cochain, caps: TruncationCaps | None = None
-) -> BasisActionTable:
+def table_coboundary(cochain: Cochain) -> BasisActionTable:
     """Tabulate the coboundary on the window, truncating values to the caps.
 
     Requires caps wide enough for every entry of the cochain:
     max_degree >= l + m + arity + 1, so each term of the defining formula is
-    exactly representable on the window.  A table-only cochain is evaluated
-    through its table and may raise TruncationError when a merged middle
-    argument leaves the window.
+    exactly representable on the window.
     """
-    caps = caps or cochain.caps
-    r = cochain.arity
-    if r == 0:
-        return BasisActionTable(1, caps, {})
-    if cochain._kernels is not None:
-        needed = max((l + sum(m) for l, m in cochain.kernels.blocks), default=0)
-        if needed + r + 1 > caps.max_degree and not cochain.kernels.is_zero():
-            raise TruncationError(
-                f"caps {caps} too small for coboundary of blocks up to degree "
-                f"{needed} at arity {r}: need max_degree >= {needed + r + 1}"
-            )
+    family, caps = cochain.kernels, cochain.caps
+    r = family.arity
+    for l, m in family.strata():
+        _check_caps(r, l, m, caps)
     rows = product(basis_labels(caps), repeat=r + 1)
-    return _tabulate(r + 1, caps, rows, lambda row: _delta_value(cochain, row))
-
-
-def coboundary(cochain: Cochain, route: str = "kernel") -> Cochain:
-    """The (r+1)-cochain coboundary, via the requested realization."""
-    if cochain.arity == 0:
-        # Commutative algebra: the commutator cochain vanishes identically.
-        return Cochain.from_kernels(KernelFamily.empty(1), cochain.caps)
-    if route == "kernel":
-        return Cochain.from_kernels(kernel_coboundary(cochain.kernels), cochain.caps)
-    if route == "table":
-        return Cochain.from_table(table_coboundary(cochain))
-    raise ValueError(f"unknown coboundary route {route!r}")
+    return _tabulate(r + 1, caps, rows, lambda row: _delta_value(family, row))
 
 
 def polydiff_degree(cochain: Cochain) -> tuple[int, int] | None:
@@ -238,14 +133,8 @@ def polydiff_degree(cochain: Cochain) -> tuple[int, int] | None:
     l is the creation degree and m the total annihilation degree of the
     kernel entries; the answer exists only when exactly one such pair occurs.
     """
-    if cochain.arity == 0:
-        degrees = {index.degree for index in cochain.element.terms}
-        strata = [(d, 0) for d in sorted(degrees)]
-    else:
-        strata = cochain.kernels.strata()
-    if len(strata) == 1:
-        return strata[0]
-    return None
+    strata = cochain.kernels.strata()
+    return strata[0] if len(strata) == 1 else None
 
 
 # -- stratum bases and matrices ---------------------------------------------------
@@ -269,9 +158,16 @@ def stratum_basis(r: int, l: int, m: int, caps: TruncationCaps):
     lexicographically.  For r = 0 the elements are the basis labels of
     degree l (empty unless m == 0).
     """
-    modes = range(caps.max_mode)
+    return list(_stratum_keys(r, l, m, caps.max_mode))
+
+
+# A cohomology report reads the bases at arities r - 1, r and r + 1, the one
+# at r three times; three cached bases let it enumerate each once.
+@lru_cache(maxsize=3)
+def _stratum_keys(r: int, l: int, m: int, max_mode: int) -> tuple:
+    modes = range(max_mode)
     if r == 0:
-        return indices_of_degree(l, modes) if m == 0 else []
+        return tuple(indices_of_degree(l, modes) if m == 0 else ())
     creations = indices_of_degree(l, modes)
     keys = []
     for m_tuple in _compositions(m, r):
@@ -279,7 +175,7 @@ def stratum_basis(r: int, l: int, m: int, caps: TruncationCaps):
         for creation in creations:
             for slots in product(*slot_choices):
                 keys.append((creation, slots))
-    return sorted(keys)
+    return tuple(sorted(keys))
 
 
 class RationalMatrix:
@@ -380,10 +276,12 @@ def rank_nullspace(matrix: RationalMatrix) -> tuple[int, list[list[Scalar]]]:
     return rank, basis
 
 
-def _check_cohomology_caps(r: int, l: int, m: int, caps: TruncationCaps):
+def _check_caps(r: int, l: int, m: int, caps: TruncationCaps):
+    """The window rule: the coboundary of an arity-r (l, m) cochain is exact
+    on caps with max_degree >= l + m + r + 1."""
     if caps.max_degree < l + m + r + 1:
         raise TruncationError(
-            f"caps {caps} too small for the (l, m) = ({l}, {m}) complex at "
+            f"caps {caps} too small for the (l, m) = ({l}, {m}) stratum at "
             f"arity {r}: need max_degree >= {l + m + r + 1}"
         )
 
@@ -395,10 +293,9 @@ def _table_route_delta(
     (r+1)-tuple of total degree at most m, truncate, and extract the (l, m)
     stratum.  Those rows are the only ones the stratum's monomials consume,
     so the partial table is exact for this read."""
-    cochain = Cochain.from_kernels(family, caps)
     r = family.arity
     rows = iter_index_tuples(r + 1, m, range(caps.max_mode))
-    partial = _tabulate(r + 1, caps, rows, lambda row: _delta_value(cochain, row))
+    partial = _tabulate(r + 1, caps, rows, lambda row: _delta_value(family, row))
     return extract_kernels(partial, stratum=(l, m))
 
 
@@ -407,7 +304,7 @@ def coboundary_matrix(
 ) -> RationalMatrix:
     """Matrix of the coboundary from arity-r to arity-(r+1) homogeneous
     (l, m) cochains, columns indexed by the sorted stratum basis."""
-    _check_cohomology_caps(r, l, m, caps)
+    _check_caps(r, l, m, caps)
     domain = stratum_basis(r, l, m, caps)
     codomain = stratum_basis(r + 1, l, m, caps)
     index = {key: i for i, key in enumerate(codomain)}

@@ -7,6 +7,7 @@ rationals.  All arithmetic is exact; floating point never appears.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 RationalLike = int | Fraction
@@ -23,7 +24,8 @@ def parse_fraction(text: str) -> Fraction:
     """
     if not (isinstance(text, str) and _RATIONAL.fullmatch(text.strip())):
         raise ValueError(f"expected a rational string 'p' or 'p/q', got {text!r}")
-    return Fraction(text.strip())
+    numerator, _, denominator = text.strip().partition("/")
+    return Fraction(int(Decimal(numerator)), int(Decimal(denominator or "1")))
 
 
 def _json_int(value) -> int:
@@ -34,10 +36,13 @@ def _json_int(value) -> int:
 
 
 def format_fraction(value: Fraction) -> str:
-    """Render a rational as "p/q", or just "p" when the denominator is 1."""
+    """Render a rational as "p/q", or just "p" when the denominator is 1.
+
+    Digits go through Decimal, which is exact and has no limit on their count.
+    """
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return str(Decimal(value.numerator))
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 class Scalar:

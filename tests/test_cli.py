@@ -1,4 +1,6 @@
 import json
+import math
+from decimal import Decimal
 
 import pytest
 from click.testing import CliRunner
@@ -234,3 +236,32 @@ def test_non_integer_or_non_rational_json_exits_2(tmp_path, runner, command, pay
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "is not a valid" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["delta", "OP", "--max-mode", "-1"],
+        ["delta", "OP", "--route", "table", "--max-degree", "-1"],
+        ["cohomology", "--r", "1", "--l", "0", "--m", "1", "--modes", "2", "--max-degree", "-1"],
+        ["expand", "OP", "--max-mode", "-1", "--max-degree", "2"],
+        ["symbol", "OP", "--poly", "--max-mode", "2", "--max-degree", "-1"],
+    ],
+    ids=["delta-kernel", "delta-table", "cohomology", "expand", "symbol"],
+)
+def test_negative_caps_flags_exit_2(tmp_path, runner, args):
+    op = write_json(tmp_path, "op.json", KernelFamily.single(1, VACUUM, (VACUUM,)).to_json())
+    result = runner.invoke(main, [op if arg == "OP" else arg for arg in args])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "nonnegative" in result.stderr
+
+
+def test_long_exact_results_print(tmp_path, runner):
+    # <e_A, e_A> = A! = 2000!, which has 5736 digits
+    v = write_json(tmp_path, "v.json", {"terms": [{"index": [[0, 2000]], "re": "1"}]})
+    result = runner.invoke(main, ["pair", v, v])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["im"] == "0" and len(payload["re"]) == 5736
+    assert int(Decimal(payload["re"])) == math.factorial(2000)

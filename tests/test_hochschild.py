@@ -4,14 +4,13 @@ from random import Random
 import pytest
 
 import wickfock.hochschild as hochschild
-from wickfock.checks import rand_fock, rand_kernel_family
+from wickfock.checks import rand_kernel_family
 from wickfock.errors import ComplexInconsistencyError, TruncationError
 from wickfock.expansion import extract_kernels, reconstruct
 from wickfock.fock import TruncationCaps
 from wickfock.hochschild import (
     Cochain,
     RationalMatrix,
-    coboundary,
     coboundary_matrix,
     cohomology_dims,
     cohomology_report,
@@ -46,13 +45,6 @@ def test_coboundary_of_annihilators_vanishes():
         assert kernel_coboundary(derivation).is_zero()
 
 
-def test_coboundary_of_zero_cochain_vanishes():
-    caps = TruncationCaps(2, 3)
-    element = rand_fock(Random(5), 2, 2)
-    delta = coboundary(Cochain.from_element(element, caps))
-    assert delta.arity == 1 and delta.is_zero()
-
-
 def test_delta_delta_is_zero_random():
     rng = Random(103)
     for _ in range(25):
@@ -63,37 +55,21 @@ def test_delta_delta_is_zero_random():
 
 def test_table_and_kernel_routes_agree():
     rng = Random(107)
+    cases = [(KernelFamily.single(1, mi([(0, 1)]), (mi([(0, 1)]),)), TruncationCaps(2, 4))]
     for _ in range(10):
         arity = rng.randint(1, 2)
         family = rand_kernel_family(rng, arity, 2, 1, max_entries=2)
-        caps = TruncationCaps(2, 1 + arity + 1)
+        cases.append((family, TruncationCaps(2, 1 + arity + 1)))
+    for family, caps in cases:
         cochain = Cochain.from_kernels(family, caps)
         assert table_coboundary(cochain) == reconstruct(
             kernel_coboundary(family), caps
         )
 
 
-def test_coboundary_route_objects_agree():
-    family = KernelFamily.single(1, mi([(0, 1)]), (mi([(0, 1)]),))
-    caps = TruncationCaps(2, 4)
-    cochain = Cochain.from_kernels(family, caps)
-    via_kernel = coboundary(cochain, route="kernel")
-    via_table = coboundary(cochain, route="table")
-    assert via_kernel.kernels == extract_kernels(via_table.table)
-    assert via_kernel.table == via_table.table
-
-
 def test_table_coboundary_needs_wide_enough_caps():
     family = KernelFamily.single(1, mi([(0, 2)]), (mi([(0, 1)]),))  # l+m = 3
     cochain = Cochain.from_kernels(family, TruncationCaps(2, 3))
-    with pytest.raises(TruncationError):
-        table_coboundary(cochain)
-
-
-def test_table_backed_cochain_middle_lookup_overflow():
-    # evaluated through its table, the merged middle argument leaves the window
-    caps = TruncationCaps(2, 2)
-    cochain = Cochain.from_table(reconstruct(IDENTITY, caps))
     with pytest.raises(TruncationError):
         table_coboundary(cochain)
 
@@ -119,7 +95,7 @@ def test_polydiff_degree():
 def test_polydiff_degree_through_extraction():
     caps = TruncationCaps(2, 4)
     table = reconstruct(KernelFamily.single(1, mi([(0, 1)]), (mi([(1, 1)]),)), caps)
-    assert polydiff_degree(Cochain.from_table(table)) == (1, 1)
+    assert polydiff_degree(Cochain.from_kernels(extract_kernels(table), caps)) == (1, 1)
 
 
 def test_stratum_preservation_on_generators():
