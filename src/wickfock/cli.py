@@ -260,6 +260,8 @@ def cohomology(arity, l_degree, m_degree, modes, max_degree, route):
 @click.option("--cases", type=int, default=25, show_default=True)
 def check(suite, seed, cases):
     """Run the property suites; exit 0 if everything holds."""
+    if cases < 1:
+        _fail(f"--cases must be at least 1, got {cases}")
     report = run_suite(suite, seed=seed, cases=cases)
     _emit(report.to_json())
     click.echo(

@@ -14,7 +14,10 @@ Two realizations are provided and must agree:
   last slot.  This is a pure polynomial operation: exact, no truncation, and
   it preserves the output degree l and total slot degree m of every entry;
 * the table route evaluates the defining formula row by row on a window and
-  truncates values, which reproduces the symbol route tabulated there.
+  truncates values, which reproduces the symbol route tabulated there.  Every
+  term sends a row of total degree D through an entry of stratum (l, m) to
+  degree D - m + l, so rows past max_degree - l + m for every stratum are
+  zero after truncation and are not evaluated.
 
 Zero-cochains are algebra elements; the algebra is commutative, so their
 coboundary (the commutator cochain) vanishes identically: every column of an
@@ -42,13 +45,7 @@ from .multiindex import (
     indices_of_degree,
     iter_index_tuples,
 )
-from .operators import (
-    BasisActionTable,
-    KernelFamily,
-    _tabulate,
-    apply_kernel,
-    basis_labels,
-)
+from .operators import BasisActionTable, KernelFamily, _tabulate, _window_rows, apply_kernel
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -117,13 +114,16 @@ def table_coboundary(cochain: Cochain) -> BasisActionTable:
 
     Requires caps wide enough for every entry of the cochain:
     max_degree >= l + m + arity + 1, so each term of the defining formula is
-    exactly representable on the window.
+    exactly representable on the window.  Each of the r + 2 terms sends a
+    row of total degree D through an entry of stratum (l, m) to degree
+    D - m + l, so only the rows the cochain's own strata keep within
+    max_degree are evaluated; every other row truncates to zero.
     """
     family, caps = cochain.kernels, cochain.caps
     r = family.arity
     for l, m in family.strata():
         _check_caps(r, l, m, caps)
-    rows = product(basis_labels(caps), repeat=r + 1)
+    rows = _window_rows(r + 1, caps, family)
     return _tabulate(r + 1, caps, rows, lambda row: _delta_value(family, row))
 
 

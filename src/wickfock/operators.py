@@ -17,11 +17,11 @@ a finite truncation window: a map from argument label tuples to values.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ArityError, TruncationError
 from .fock import FockVector, TruncationCaps, _add_term, truncate, wick_product
-from .multiindex import MultiIndex, indices_up_to
+from .multiindex import MultiIndex, indices_up_to, iter_index_tuples
 from .scalars import Scalar, _json_int
 
 
@@ -215,9 +215,14 @@ class KernelFamily:
         arity = _json_int(data["arity"])
         triples = []
         for block in data["blocks"]:
+            l, m_tuple = _json_int(block["l"]), tuple(_json_int(m) for m in block["M"])
+            if len(m_tuple) != arity:
+                raise ArityError(f"block {(l, m_tuple)} does not match arity {arity}")
             for entry in block["entries"]:
                 creation = MultiIndex.from_json(entry["I"])
                 annihilations = tuple(MultiIndex.from_json(j) for j in entry["J"])
+                if (creation.degree, tuple(j.degree for j in annihilations)) != (l, m_tuple):
+                    raise ValueError(f"entry degrees do not match block {(l, m_tuple)}")
                 triples.append((creation, annihilations, Scalar.from_json_fields(entry)))
         return cls.from_entries(arity, triples)
 
@@ -357,16 +362,27 @@ def _tabulate(
     return BasisActionTable(arity, caps, action)
 
 
-def table_from_kernel(family: KernelFamily, caps: TruncationCaps) -> BasisActionTable:
-    """Tabulate a kernel family on every label tuple in the window.
+def _window_rows(arity: int, caps: TruncationCaps, family: KernelFamily) -> Iterator:
+    """The arity-tuples of labels admitted by the caps whose total degree is
+    at most max(max_degree - l + m) over the family's strata (l, m); none
+    for an empty family."""
+    budget = max((caps.max_degree - l + m for l, m in family.strata()), default=-1)
+    return iter_index_tuples(arity, budget, range(caps.max_mode), caps.max_degree)
 
+
+def table_from_kernel(family: KernelFamily, caps: TruncationCaps) -> BasisActionTable:
+    """Tabulate a kernel family on the window rows it can reach.
+
+    An entry of stratum (l, m) sends a row of total degree D to degree
+    D - m + l, so a row with D - m + l > max_degree for every stratum
+    truncates to zero; only the other rows are evaluated (``_window_rows``).
     Values are truncated to the caps, so for in-window arguments
     ``apply_table(table, args) == truncate(apply_kernel(family, args), caps)``.
     """
     return _tabulate(
         family.arity,
         caps,
-        product(basis_labels(caps), repeat=family.arity),
+        _window_rows(family.arity, caps, family),
         lambda row: apply_kernel(family, [FockVector.basis(a) for a in row]),
     )
 

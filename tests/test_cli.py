@@ -185,6 +185,14 @@ def test_check_command_unknown_suite(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("cases", ["0", "-4"])
+def test_check_command_rejects_fewer_than_one_case(runner, cases):
+    # a suite of no cases verifies nothing, so it must not report a pass
+    result = runner.invoke(main, ["check", "--suite", "algebra", "--cases", cases])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
 def test_check_command_detects_injected_bad_constant(runner, monkeypatch):
     monkeypatch.setattr(
         wickfock.operators, "_annihilation_coefficient", lambda mult: 1
@@ -209,6 +217,11 @@ def _term(index, re="1", im="0"):
     return {"terms": [{"index": index, "re": re, "im": im}]}
 
 
+def _block(l, M):
+    # one identity entry (deg I = 0, deg J = (0,)) filed under the given labels
+    return {"arity": 1, "blocks": [{"l": l, "M": M, "entries": [{"I": [], "J": [[]], "re": "1"}]}]}
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [
@@ -220,10 +233,13 @@ def _term(index, re="1", im="0"):
         ("coherent", {"coeffs": [{"mode": True, "re": "1"}]}),
         ("apply", {"arity": 1.0, "blocks": []}),
         ("expand", {"arity": 1, "caps": {"max_mode": "1", "max_degree": 1}, "rows": []}),
+        ("delta", _block(l=5, M=[0])),
+        ("delta", _block(l=0, M=[7])),
     ],
     ids=[
         "float-multiplicity", "bool-multiplicity", "numeric-re", "zero-denominator",
         "exponent-re", "bool-mode", "float-arity", "string-cap",
+        "block-l-mismatch", "block-M-mismatch",
     ],
 )
 def test_non_integer_or_non_rational_json_exits_2(tmp_path, runner, command, payload):

@@ -22,7 +22,7 @@ from wickfock.hochschild import (
     table_coboundary,
 )
 from wickfock.multiindex import VACUUM, MultiIndex
-from wickfock.operators import KernelFamily
+from wickfock.operators import KernelFamily, _tabulate, basis_labels
 from wickfock.scalars import ONE, ZERO, Scalar
 
 mi = MultiIndex
@@ -64,6 +64,33 @@ def test_table_and_kernel_routes_agree():
         cochain = Cochain.from_kernels(family, caps)
         assert table_coboundary(cochain) == reconstruct(
             kernel_coboundary(family), caps
+        )
+
+
+def test_table_coboundary_equals_full_product_table():
+    """table_coboundary visits only the rows within its cochain's degree
+    budget; the rows it skips must truncate to zero, so its table equals the
+    defining formula tabulated on every tuple of window labels."""
+    cases = [
+        # a_0 a_0 (m > l): the budget 6 exceeds max_degree 4
+        (KernelFamily.single(1, VACUUM, (mi([(0, 2)]),)), TruncationCaps(1, 4)),
+        # creation modes at and above max_mode
+        (KernelFamily.single(1, mi([(2, 1)]), (mi([(0, 1)]),)), TruncationCaps(2, 4)),
+        (KernelFamily.single(1, mi([(3, 1)]), (VACUUM,)), TruncationCaps(2, 3)),
+        (KernelFamily.empty(2), TruncationCaps(2, 2)),
+    ]
+    rng = Random(109)
+    for _ in range(12):
+        arity = rng.randint(1, 2)
+        family = rand_kernel_family(rng, arity, 3, 1, max_entries=2)
+        caps = TruncationCaps(rng.randint(1, 3 - arity), 1 + arity + 1 + rng.randint(0, 1))
+        cases.append((family, caps))
+    assert table_coboundary(Cochain.from_kernels(*cases[3])).is_zero()
+    for family, caps in cases:
+        r = family.arity
+        full = itertools.product(basis_labels(caps), repeat=r + 1)
+        assert table_coboundary(Cochain.from_kernels(family, caps)) == _tabulate(
+            r + 1, caps, full, lambda row: hochschild._delta_value(family, row)
         )
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -18,6 +19,7 @@ from wickfock.multiindex import VACUUM, MultiIndex, indices_up_to
 from wickfock.operators import (
     BasisActionTable,
     KernelFamily,
+    _tabulate,
     apply_annihilation,
     apply_creation,
     apply_kernel,
@@ -172,6 +174,33 @@ def test_table_from_kernel_hand_values():
     identity = table_from_kernel(KernelFamily.single(1, VACUUM, (VACUUM,)), caps)
     for label in basis_labels(caps):
         assert identity.value((label,)) == e(label)
+
+
+def test_table_from_kernel_equals_full_product_table():
+    """table_from_kernel visits only the rows within the degree budget; the
+    rows it skips must truncate to zero, so its table equals the one
+    tabulated on every tuple of window labels."""
+    cases = [
+        # a_0 a_0 (m > l): the budget 4 exceeds max_degree 2
+        (KernelFamily.single(1, VACUUM, (mi([(0, 2)]),)), TruncationCaps(1, 2)),
+        # creation modes at and above max_mode
+        (KernelFamily.single(1, mi([(2, 1)]), (mi([(0, 1)]),)), TruncationCaps(2, 2)),
+        (KernelFamily.single(2, mi([(3, 1)]), (VACUUM, mi([(1, 1)]))), TruncationCaps(2, 2)),
+        # l > max_degree + m: the empty table
+        (KernelFamily.single(1, mi([(0, 3)]), (VACUUM,)), TruncationCaps(2, 2)),
+        (KernelFamily.empty(2), TruncationCaps(2, 2)),
+    ]
+    rng = Random(61)
+    for _ in range(30):
+        arity = rng.randint(1, 3)
+        caps = TruncationCaps(rng.randint(0, 3), rng.randint(0, 4 - arity))
+        cases.append((rand_kernel_family(rng, arity, 3, 4), caps))
+    assert table_from_kernel(*cases[3]).is_zero()
+    for family, caps in cases:
+        full = product(basis_labels(caps), repeat=family.arity)
+        assert table_from_kernel(family, caps) == _tabulate(
+            family.arity, caps, full, lambda row: apply_kernel(family, [e(a) for a in row])
+        )
 
 
 def test_table_matches_kernel_with_truncation():
