@@ -57,6 +57,10 @@ CASES = {
     "cohomology_table_h1": [
         "cohomology", "--r", "1", "--l", "1", "--m", "1", "--modes", "2", "--route", "table",
     ],
+    "cohomology_kernel_blocks": ["cohomology", "--r", "2", "--l", "1", "--m", "2", "--modes", "3"],
+    "cohomology_table_blocks": [
+        "cohomology", "--r", "2", "--l", "1", "--m", "2", "--modes", "2", "--route", "table",
+    ],
     "check_all": ["check", "--suite", "all", "--cases", "3"],
 }
 
