@@ -32,8 +32,11 @@ from .scalars import format_fraction, parse_fraction
 from .symbolcalc import symbol_numeric, symbol_poly
 
 
+# Every echo names its stream: click's default-stream lookup caches a wrapper
+# per stream object, and under CliRunner that cache keeps each run's captured
+# output alive for the life of the process.
 def _fail(message: str):
-    click.echo(f"error: {message}", err=True)
+    click.echo(f"error: {message}", file=sys.stderr)
     sys.exit(2)
 
 
@@ -54,7 +57,7 @@ def _parse(path: str, parser, what: str):
 
 
 def _emit(obj):
-    click.echo(json.dumps(obj, indent=2))
+    click.echo(json.dumps(obj, indent=2), file=sys.stdout)
 
 
 def _caps_from_flags(max_mode, max_degree) -> TruncationCaps:
@@ -267,7 +270,7 @@ def check(suite, seed, cases):
     click.echo(
         f"{report.suite}: {report.cases} checks, {len(report.failures)} failures "
         f"in {report.elapsed:.2f}s",
-        err=True,
+        file=sys.stderr,
     )
     sys.exit(0 if report.ok else 1)
 

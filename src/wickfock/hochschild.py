@@ -25,7 +25,13 @@ r = 0 coboundary matrix is zero, and the degree-0 cohomology at a stratum is
 the whole stratum.
 
 Cohomology dimensions come from exact fraction-arithmetic Gaussian
-elimination on the stratum-by-stratum coboundary matrices.
+elimination on the stratum-by-stratum coboundary matrices, one block at a
+time.  Every term of the coboundary keeps an entry's creation index I and its
+annihilation content J_1 + ... + J_r (the concatenation of its slots), so each
+stratum complex is block diagonal in the pairs (I, content); an arity-0 label
+I sits in block (I, VACUUM).  The delta o delta gate, the ranks and the
+nullspaces are computed per block, and an image that leaves its block fails
+the gate as one leaving the stratum does.
 """
 
 from __future__ import annotations
@@ -161,8 +167,9 @@ def stratum_basis(r: int, l: int, m: int, caps: TruncationCaps):
     return list(_stratum_keys(r, l, m, caps.max_mode))
 
 
-# A cohomology report reads the bases at arities r - 1, r and r + 1, the one
-# at r three times; three cached bases let it enumerate each once.
+# A cohomology report reads the bases at arities r - 1, r and r + 1, once per
+# block; three cached bases (and their block groupings) let it enumerate each
+# once.
 @lru_cache(maxsize=3)
 def _stratum_keys(r: int, l: int, m: int, max_mode: int) -> tuple:
     modes = range(max_mode)
@@ -176,6 +183,34 @@ def _stratum_keys(r: int, l: int, m: int, max_mode: int) -> tuple:
             for slots in product(*slot_choices):
                 keys.append((creation, slots))
     return tuple(sorted(keys))
+
+
+def _block(key) -> tuple[MultiIndex, MultiIndex]:
+    """The (creation, content) block of a stratum basis key."""
+    if isinstance(key, MultiIndex):
+        return key, VACUUM
+    creation, slots = key
+    content = VACUUM
+    for slot in slots:
+        content = content.concat(slot)
+    return creation, content
+
+
+@lru_cache(maxsize=3)
+def _stratum_blocks(r: int, l: int, m: int, max_mode: int) -> dict:
+    """Positions in the sorted stratum basis, grouped by block, ascending."""
+    blocks: dict = {}
+    for position, key in enumerate(_stratum_keys(r, l, m, max_mode)):
+        blocks.setdefault(_block(key), []).append(position)
+    return {block: tuple(positions) for block, positions in blocks.items()}
+
+
+def _block_basis(r: int, l: int, m: int, caps: TruncationCaps, block) -> list:
+    """The stratum basis, or its keys in ``block`` in the same order."""
+    keys = _stratum_keys(r, l, m, caps.max_mode)
+    if block is None:
+        return list(keys)
+    return [keys[i] for i in _stratum_blocks(r, l, m, caps.max_mode).get(block, ())]
 
 
 class RationalMatrix:
@@ -206,18 +241,17 @@ class RationalMatrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         out = []
-        for i in range(self.rows):
-            row = []
+        for row in self.entries:
+            nonzero = [(k, a) for k, a in enumerate(row) if a]
+            products = []
             for j in range(other.cols):
                 total = ZERO
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a:
-                        b = other.entries[k][j]
-                        if b:
-                            total = total + a * b
-                row.append(total)
-            out.append(row)
+                for k, a in nonzero:
+                    b = other.entries[k][j]
+                    if b:
+                        total = total + a * b
+                products.append(total)
+            out.append(products)
         return RationalMatrix(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
@@ -255,11 +289,11 @@ def rank_nullspace(matrix: RationalMatrix) -> tuple[int, list[list[Scalar]]]:
             continue
         a[pivot_row], a[pivot] = a[pivot], a[pivot_row]
         head = a[pivot_row][col]
-        a[pivot_row] = [v / head for v in a[pivot_row]]
+        a[pivot_row] = [v / head if v else v for v in a[pivot_row]]
         for r in range(rows):
             if r != pivot_row and a[r][col]:
                 factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[pivot_row])]
+                a[r] = [v - factor * w if w else v for v, w in zip(a[r], a[pivot_row])]
         pivot_cols.append(col)
         pivot_row += 1
         if pivot_row == rows:
@@ -300,13 +334,24 @@ def _table_route_delta(
 
 
 def coboundary_matrix(
-    r: int, l: int, m: int, caps: TruncationCaps, route: str = "kernel"
+    r: int,
+    l: int,
+    m: int,
+    caps: TruncationCaps,
+    route: str = "kernel",
+    block: tuple[MultiIndex, MultiIndex] | None = None,
 ) -> RationalMatrix:
     """Matrix of the coboundary from arity-r to arity-(r+1) homogeneous
-    (l, m) cochains, columns indexed by the sorted stratum basis."""
+    (l, m) cochains, columns indexed by the sorted stratum basis.
+
+    With ``block=(creation, content)`` the domain and codomain are only that
+    block's basis keys, in the same order; an image entry outside them raises
+    ComplexInconsistencyError, as one outside the stratum does.
+    """
     _check_caps(r, l, m, caps)
-    domain = stratum_basis(r, l, m, caps)
-    codomain = stratum_basis(r + 1, l, m, caps)
+    domain = _block_basis(r, l, m, caps, block)
+    codomain = _block_basis(r + 1, l, m, caps, block)
+    where = f"(l, m) = ({l}, {m}) stratum" if block is None else f"block {block}"
     index = {key: i for i, key in enumerate(codomain)}
     columns: list[list[Scalar]] = []
     for key in domain:
@@ -323,7 +368,7 @@ def coboundary_matrix(
             for entry, coeff in image.entries():
                 if entry not in index:
                     raise ComplexInconsistencyError(
-                        f"coboundary left the (l, m) = ({l}, {m}) stratum at {entry}"
+                        f"coboundary left the {where} at {entry}"
                     )
                 column[index[entry]] = coeff
         columns.append(column)
@@ -334,37 +379,44 @@ def cohomology_report(
     r: int, l: int, m: int, caps: TruncationCaps, route: str = "kernel"
 ):
     """Exact (dim ker, dim im, dim H) of the stratum complex at arity r,
-    together with a basis of cocycles; gated on delta . delta == 0."""
-    matrix = coboundary_matrix(r, l, m, caps, route)
-    if r == 0:
-        rank_prev = 0
-    else:
-        previous = coboundary_matrix(r - 1, l, m, caps, route)
-        if not matrix.matmul(previous).is_zero():
-            raise ComplexInconsistencyError(
-                f"delta o delta != 0 at (r, l, m) = ({r}, {l}, {m})"
-            )
-        rank_prev, _ = rank_nullspace(previous)
-    rank, null_basis = rank_nullspace(matrix)
-    dim_ker = len(null_basis)
+    together with a basis of cocycles; gated on delta . delta == 0.
+
+    Runs block by block.  Each block's nullspace vectors are in reduced row
+    echelon form, and so equal those of the whole block-diagonal matrix; the
+    cocycles are ordered by their free column's position in the stratum,
+    which is each vector's last nonzero position.
+    """
+    _check_caps(r, l, m, caps)
+    blocks = _stratum_blocks(r, l, m, caps.max_mode)
+    previous_blocks = _stratum_blocks(r - 1, l, m, caps.max_mode) if r else {}
+    rank_prev = 0
+    supports = []
+    for block in dict.fromkeys([*previous_blocks, *blocks]):
+        matrix = coboundary_matrix(r, l, m, caps, route, block)
+        if r:
+            previous = coboundary_matrix(r - 1, l, m, caps, route, block)
+            if not matrix.matmul(previous).is_zero():
+                raise ComplexInconsistencyError(
+                    f"delta o delta != 0 at (r, l, m) = ({r}, {l}, {m}) in block {block}"
+                )
+            rank_prev += rank_nullspace(previous)[0]
+        positions = blocks.get(block, ())
+        for vector in rank_nullspace(matrix)[1]:
+            supports.append([(positions[j], coeff) for j, coeff in enumerate(vector) if coeff])
+    supports.sort(key=lambda support: support[-1][0])
     basis_keys = stratum_basis(r, l, m, caps)
     cocycles = []
     if r >= 1:
-        for vector in null_basis:
+        for support in supports:
             cocycles.append(
                 KernelFamily.from_entries(
-                    r,
-                    [
-                        (key[0], key[1], coeff)
-                        for key, coeff in zip(basis_keys, vector)
-                        if coeff
-                    ],
+                    r, [(*basis_keys[position], coeff) for position, coeff in support]
                 )
             )
     return {
-        "dim_ker": dim_ker,
+        "dim_ker": len(supports),
         "dim_im_prev": rank_prev,
-        "dim_H": dim_ker - rank_prev,
+        "dim_H": len(supports) - rank_prev,
         "cocycles": cocycles,
         "basis": basis_keys,
     }

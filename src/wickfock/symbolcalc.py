@@ -20,6 +20,7 @@ componentwise-smaller exponents, and the window is downward closed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import ArityError, TruncationError
@@ -247,12 +248,22 @@ def exp_bracket_poly(
     Terms are slot-tuples (T_1, ..., T_r) of patterns with coefficient
     ``prod_j (+-1)^{|T_j|} / T_j!``, x-exponent T_j in slot j, and y-exponent
     the concatenation of all T_j; kept while every degree fits the window.
+    The series is built once per (arity, window, sign) and shared between
+    callers: the returned polynomial must not be mutated.
     """
+    return _exp_bracket_series(arity, caps.max_mode, caps.max_degree, negate)
+
+
+@lru_cache(maxsize=8)
+def _exp_bracket_series(
+    arity: int, max_mode: int, max_degree: int, negate: bool
+) -> SymbolPolynomial:
+    caps = TruncationCaps(max_mode, max_degree)
     result = SymbolPolynomial.one(arity)
     sign = -1 if negate else 1
     for slot in range(arity):
         factor_terms: dict[TermKey, Scalar] = {}
-        for t in indices_up_to(caps.max_degree, range(caps.max_mode)):
+        for t in indices_up_to(max_degree, range(max_mode)):
             coeff = Scalar(Fraction(sign ** t.degree, t.pairing_weight))
             slots = tuple(t if j == slot else VACUUM for j in range(arity))
             factor_terms[(slots, t)] = coeff

@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 import math
 from decimal import Decimal
@@ -281,3 +283,22 @@ def test_long_exact_results_print(tmp_path, runner):
     payload = json.loads(result.output)
     assert payload["im"] == "0" and len(payload["re"]) == 5736
     assert int(Decimal(payload["re"])) == math.factorial(2000)
+
+
+def test_repeated_runs_release_their_output_streams(runner):
+    """Each CliRunner run captures output in fresh BytesIO buffers; none of
+    them may stay alive once the run is over."""
+
+    def live_buffers():
+        gc.collect()
+        return sum(1 for obj in gc.get_objects() if isinstance(obj, io.BytesIO))
+
+    good = ["cohomology", "--r", "1", "--l", "1", "--m", "1", "--modes", "2"]
+    bad = ["cohomology", "--r", "-1", "--l", "1", "--m", "1", "--modes", "2"]
+    runner.invoke(main, good)
+    runner.invoke(main, bad)
+    before = live_buffers()
+    for _ in range(20):
+        assert runner.invoke(main, good).exit_code == 0
+        assert runner.invoke(main, bad).exit_code == 2
+    assert live_buffers() <= before

@@ -1,4 +1,5 @@
 import itertools
+import math
 from random import Random
 
 import pytest
@@ -231,6 +232,70 @@ def test_cohomology_dims_routes_agree():
             assert coboundary_matrix(r, l, m, caps, route="kernel") == (
                 coboundary_matrix(r, l, m, caps, route="table")
             )
+
+
+def _hkr_dim(r: int, l: int, m: int, modes: int) -> int:
+    """Hochschild-Kostant-Rosenberg: #{I : deg I = l} * C(n, r) when m == r, else 0."""
+    return math.comb(modes + l - 1, l) * math.comb(modes, r) if m == r else 0
+
+
+def test_cohomology_dims_equal_hkr_closed_form():
+    dims = {}
+    for modes, r, l, m in itertools.product((1, 2, 3), (1, 2, 3), (0, 1, 2), (0, 1, 2, 3)):
+        dims[r, l, m, modes] = cohomology_dims(r, l, m, TruncationCaps(modes, l + m + r + 1))
+        dim_ker, dim_im, dim_h = dims[r, l, m, modes]
+        assert dim_h == dim_ker - dim_im == _hkr_dim(r, l, m, modes), (r, l, m, modes)
+    assert dims[2, 2, 3, 3] == (60, 60, 0)
+    assert dims[3, 2, 3, 3] == (282, 276, 6)
+
+
+def test_block_report_matches_dense_elimination():
+    """The block-by-block report equals elimination on the whole stratum
+    matrix, cocycle for cocycle, and each block matrix is the whole matrix
+    restricted to the block's rows and columns."""
+    for l, m in ((0, 0), (1, 1), (0, 1), (1, 0), (2, 1), (0, 2)):
+        for r in (1, 2):
+            caps = TruncationCaps(2, l + m + r + 1)
+            dense = coboundary_matrix(r, l, m, caps)
+            _, null_basis = rank_nullspace(dense)
+            rank_prev, _ = rank_nullspace(coboundary_matrix(r - 1, l, m, caps))
+            basis = stratum_basis(r, l, m, caps)
+            expected = [
+                KernelFamily.from_entries(
+                    r, [(*key, coeff) for key, coeff in zip(basis, vector) if coeff]
+                )
+                for vector in null_basis
+            ]
+            codomain = stratum_basis(r + 1, l, m, caps)
+            blocks = hochschild._stratum_blocks(r, l, m, caps.max_mode)
+            for route in ("kernel", "table"):
+                report = cohomology_report(r, l, m, caps, route=route)
+                assert (report["dim_ker"], report["dim_im_prev"]) == (len(null_basis), rank_prev)
+                assert report["cocycles"] == expected
+                for block, columns in blocks.items():
+                    rows = [codomain.index(key) for key in codomain
+                            if hochschild._block(key) == block]
+                    assert coboundary_matrix(r, l, m, caps, route, block=block).entries == [
+                        [dense.entries[i][j] for j in columns] for i in rows
+                    ]
+
+
+def test_gate_catches_an_entry_moved_to_another_block(monkeypatch):
+    """An image entry that stays in the stratum but changes its annihilation
+    content fails the report, as one leaving the stratum does."""
+    real = hochschild.kernel_coboundary
+
+    def moved(family):
+        # swap modes 0 and 1 in the last slot: same (l, m), other content
+        triples = [
+            (creation, slots[:-1] + (mi([(1 - mode, k) for mode, k in slots[-1].pairs]),), c)
+            for (creation, slots), c in real(family).entries()
+        ]
+        return KernelFamily.from_entries(family.arity + 1, triples)
+
+    monkeypatch.setattr(hochschild, "kernel_coboundary", moved)
+    with pytest.raises(ComplexInconsistencyError, match="left the block"):
+        cohomology_report(1, 1, 2, TruncationCaps(2, 5))
 
 
 def test_cohomology_report_cocycles_are_cocycles():

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+import wickfock.symbolcalc as symbolcalc
 from wickfock.checks import rand_kernel_family, rand_scalar, rand_test_vector
 from wickfock.errors import ArityError, TruncationError
 from wickfock.fock import TestVector, TruncationCaps
@@ -167,6 +168,15 @@ def test_exp_bracket_inverse_on_window():
             exp_bracket_poly(arity, caps, negate=True), region=caps
         )
         assert product == SymbolPolynomial.one(arity)
+
+
+def test_exp_bracket_series_is_built_once_per_window():
+    caps = TruncationCaps(2, 3)
+    shared = exp_bracket_poly(2, caps, negate=True)
+    assert exp_bracket_poly(2, TruncationCaps(2, 3), negate=True) is shared
+    assert shared == symbolcalc._exp_bracket_series.__wrapped__(2, 2, 3, True)
+    assert shared.caps == caps
+    assert exp_bracket_poly(2, caps) != shared
 
 
 def test_ring_axioms_random():
