@@ -15,7 +15,9 @@ and output degree at most max_degree), the window is downward closed under
 dividing exponents, and dividing out the coupling exponential only consumes
 coefficients at componentwise-smaller exponents.  Blocks read inside the
 window are therefore exact, which is what the per-block "reliable" flag
-reports.
+reports.  The same holds on every smaller window of this shape, so reading
+one stratum divides out the exponential only on the smallest window that
+holds its monomials.
 """
 
 from __future__ import annotations
@@ -40,9 +42,15 @@ def extract_kernels(
     (degree(I), per-slot degrees).  With ``stratum`` = (l, m), only monomials
     with degree(I) = l and total slot degree m are read; this is also valid
     for partial tables that store every row of total degree at most m, since
-    no other rows enter those monomials.
+    no other rows enter those monomials.  Those monomials have output degree
+    l and every slot degree at most m, so the reduced symbol is computed only
+    on the sub-window of degree max(l, m): it is downward closed, hence exact
+    there, and nothing outside it is read.
     """
-    reduced = reduced_symbol(symbol_poly(table))
+    caps = table.caps
+    if stratum is not None:
+        caps = TruncationCaps(caps.max_mode, min(caps.max_degree, max(stratum)))
+    reduced = reduced_symbol(symbol_poly(table), caps)
     triples = []
     for (slots, eta), coeff in reduced.terms.items():
         if stratum is not None:

@@ -31,7 +31,11 @@ annihilation content J_1 + ... + J_r (the concatenation of its slots), so each
 stratum complex is block diagonal in the pairs (I, content); an arity-0 label
 I sits in block (I, VACUUM).  The delta o delta gate, the ranks and the
 nullspaces are computed per block, and an image that leaves its block fails
-the gate as one leaving the stratum does.
+the gate as one leaving the stratum does.  The kernel route never reads I, so
+there it is the content alone that fixes a block's matrix: one block per
+content is built, gated and eliminated, and the result is relabelled onto the
+blocks of the other creation indices.  The table route builds and gates every
+block, because its independence is what cross-checks the kernel route.
 """
 
 from __future__ import annotations
@@ -385,23 +389,35 @@ def cohomology_report(
     echelon form, and so equal those of the whole block-diagonal matrix; the
     cocycles are ordered by their free column's position in the stratum,
     which is each vector's last nonzero position.
+
+    The keys of the blocks of one content differ only in I, in the same
+    order, so on the kernel route the first block of each content is solved
+    and its rank and nullspace are relabelled onto the positions of the
+    others; the table route solves every block.
     """
     _check_caps(r, l, m, caps)
     blocks = _stratum_blocks(r, l, m, caps.max_mode)
     previous_blocks = _stratum_blocks(r - 1, l, m, caps.max_mode) if r else {}
+    solved: dict = {}
     rank_prev = 0
     supports = []
     for block in dict.fromkeys([*previous_blocks, *blocks]):
-        matrix = coboundary_matrix(r, l, m, caps, route, block)
-        if r:
-            previous = coboundary_matrix(r - 1, l, m, caps, route, block)
-            if not matrix.matmul(previous).is_zero():
-                raise ComplexInconsistencyError(
-                    f"delta o delta != 0 at (r, l, m) = ({r}, {l}, {m}) in block {block}"
-                )
-            rank_prev += rank_nullspace(previous)[0]
+        shared = block[1] if route == "kernel" else block
+        if shared not in solved:
+            matrix = coboundary_matrix(r, l, m, caps, route, block)
+            block_rank_prev = 0
+            if r:
+                previous = coboundary_matrix(r - 1, l, m, caps, route, block)
+                if not matrix.matmul(previous).is_zero():
+                    raise ComplexInconsistencyError(
+                        f"delta o delta != 0 at (r, l, m) = ({r}, {l}, {m}) in block {block}"
+                    )
+                block_rank_prev = rank_nullspace(previous)[0]
+            solved[shared] = block_rank_prev, rank_nullspace(matrix)[1]
+        block_rank_prev, null_vectors = solved[shared]
+        rank_prev += block_rank_prev
         positions = blocks.get(block, ())
-        for vector in rank_nullspace(matrix)[1]:
+        for vector in null_vectors:
             supports.append([(positions[j], coeff) for j, coeff in enumerate(vector) if coeff])
     supports.sort(key=lambda support: support[-1][0])
     basis_keys = stratum_basis(r, l, m, caps)

@@ -14,11 +14,15 @@ with exact rational coefficients.  For a table whose rows and stored values
 respect its caps, the product with the truncated inverse series is exact on
 every monomial in the closed window (per-slot degree and output degree at
 most max_degree): reading a monomial only ever consumes coefficients at
-componentwise-smaller exponents, and the window is downward closed.
+componentwise-smaller exponents, and the window is downward closed.  The
+same argument makes the product exact on any smaller window, so a caller that
+reads only low-degree monomials passes that window and nothing outside it is
+ever formed; a window wider than the polynomial's own is refused.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -121,23 +125,35 @@ class SymbolPolynomial:
     ) -> "SymbolPolynomial":
         """Exact product; with ``region``, monomials outside it are dropped.
 
-        The region check is per slot degree and output degree, both bounded by
-        region.max_degree.  Dropping out-of-region products never disturbs
-        in-region coefficients because exponents only grow.
+        The region bounds each slot degree and the output degree by
+        region.max_degree; ``None`` bounds nothing.  Degrees add under
+        multiplication, so a pair is compared against the bound before its
+        product is formed: the right-hand terms are visited in ascending
+        output degree and the scan stops at the first that overshoots.
+        Dropping out-of-region products never disturbs in-region coefficients
+        because exponents only grow.
         """
         if other.arity != self.arity:
             raise ArityError("cannot multiply polynomials of different arity")
-        bound = region.max_degree if region is not None else None
+        bound = region.max_degree if region is not None else math.inf
+        right = sorted(
+            (
+                (eta.degree, [u.degree for u in slots], slots, eta, coeff)
+                for (slots, eta), coeff in other.terms.items()
+            ),
+            key=lambda term: term[0],
+        )
         acc: dict[TermKey, Scalar] = {}
         for (slots_a, eta_a), ca in self.terms.items():
-            for (slots_b, eta_b), cb in other.terms.items():
-                eta = eta_a.concat(eta_b)
-                if bound is not None and eta.degree > bound:
+            room = bound - eta_a.degree
+            room_slots = [bound - u.degree for u in slots_a]
+            for eta_degree, slot_degrees, slots_b, eta_b, cb in right:
+                if eta_degree > room:
+                    break
+                if any(d > free for d, free in zip(slot_degrees, room_slots)):
                     continue
                 slots = tuple(u.concat(v) for u, v in zip(slots_a, slots_b))
-                if bound is not None and any(u.degree > bound for u in slots):
-                    continue
-                _add_term(acc, (slots, eta), ca * cb)
+                _add_term(acc, (slots, eta_a.concat(eta_b)), ca * cb)
         return SymbolPolynomial._raw(self.arity, acc, region or self.caps or other.caps)
 
     def __mul__(self, other):
@@ -280,7 +296,14 @@ def reduced_symbol(
     ``caps`` defaults to the caps the polynomial was built with.  For
     polynomials of tables generated by a kernel family inside the window,
     the result equals the family's monomial data on the whole closed window.
+    A narrower ``caps`` reads only that sub-window, which is downward closed
+    and so exact too; a wider one would return monomials the polynomial's own
+    window cannot determine, and raises TruncationError.
     """
+    if poly.caps is not None and caps is not None and (
+        caps.max_mode > poly.caps.max_mode or caps.max_degree > poly.caps.max_degree
+    ):
+        raise TruncationError(f"caps {caps} exceed the polynomial's window {poly.caps}")
     caps = caps or poly.caps
     if caps is None:
         raise ValueError("reduced_symbol needs caps (none stored on the polynomial)")

@@ -5,6 +5,7 @@ criterion.  All value comparisons are zero-tolerance over exact rationals;
 the only inequalities are the stated runtime budgets.
 """
 
+import math
 import time
 from fractions import Fraction
 from random import Random
@@ -265,6 +266,15 @@ def test_criterion_9_cohomology_routes_and_derivation_classes():
             via_kernel = cohomology_dims(r, l, m, caps, route="kernel")
             via_table = cohomology_dims(r, l, m, caps, route="table")
             if via_kernel != via_table:
+                failures += 1
+
+    # Hochschild-Kostant-Rosenberg: dim H = #{I : deg I = l} * C(n, r) when
+    # m == r (else 0), on both routes of many-block strata of 3 modes
+    for r, l, m, modes in ((2, 1, 2, 3), (2, 2, 2, 3)):
+        hkr = math.comb(modes + l - 1, l) * math.comb(modes, r)
+        caps = TruncationCaps(modes, l + m + r + 1)
+        for route in ("kernel", "table"):
+            if cohomology_dims(r, l, m, caps, route=route)[2] != hkr:
                 failures += 1
 
     caps = TruncationCaps(2, 3)

@@ -91,23 +91,36 @@ def test_extraction_is_linear():
 
 
 def test_stratum_extraction_matches_filtered_full_extraction():
+    """Reading one (l, m) stratum gives that stratum's entries of the full
+    extraction, from the whole table and from a partial table that stores
+    only the rows of total degree at most m (the shape the table route of
+    the coboundary builds), at arities 1 to 3 and with l != m."""
     rng = Random(101)
-    caps = TruncationCaps(2, 3)
-    for _ in range(10):
-        family = rand_kernel_family(rng, 1, 2, 2)
-        table = reconstruct(family, caps)
-        full = extract_kernels(table)
-        for stratum in {(l, sum(m)) for l, m in full.blocks}:
-            part = extract_kernels(table, stratum=stratum)
-            expected = KernelFamily.from_entries(
-                1,
-                [
-                    (creation, slots, coeff)
-                    for (creation, slots), coeff in full.entries()
-                    if (creation.degree, sum(j.degree for j in slots)) == stratum
-                ],
-            )
-            assert part == expected
+    seen = set()
+    for arity, caps, rounds in ((1, TruncationCaps(2, 3), 10), (2, TruncationCaps(2, 3), 6),
+                                (3, TruncationCaps(2, 2), 4)):
+        for _ in range(rounds):
+            family = rand_kernel_family(rng, arity, 2, caps.max_degree)
+            table = reconstruct(family, caps)
+            full = extract_kernels(table)
+            assert full == family
+            for l, m in {(l, sum(m_tuple)) for l, m_tuple in full.blocks}:
+                expected = KernelFamily.from_entries(
+                    arity,
+                    [
+                        (creation, slots, coeff)
+                        for (creation, slots), coeff in full.entries()
+                        if (creation.degree, sum(j.degree for j in slots)) == (l, m)
+                    ],
+                )
+                partial = BasisActionTable(arity, caps, {
+                    row: value for row, value in table.action.items()
+                    if sum(label.degree for label in row) <= m
+                })
+                assert extract_kernels(table, stratum=(l, m)) == expected
+                assert extract_kernels(partial, stratum=(l, m)) == expected
+                seen.add((arity, l == m))
+    assert seen == {(arity, same) for arity in (1, 2, 3) for same in (True, False)}
 
 
 def test_reliability_flags():

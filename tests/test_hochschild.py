@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from random import Random
 
 import pytest
@@ -278,6 +279,52 @@ def test_block_report_matches_dense_elimination():
                     assert coboundary_matrix(r, l, m, caps, route, block=block).entries == [
                         [dense.entries[i][j] for j in columns] for i in rows
                     ]
+
+
+SMALL_STRATA = list(itertools.product((2, 3), (1, 2), (1, 2), (1, 2)))  # modes, r, l, m
+
+
+def test_kernel_route_block_matrices_of_one_content_are_equal_for_every_creation():
+    for modes, r, l, m in SMALL_STRATA:
+        caps = TruncationCaps(modes, l + m + r + 1)
+        for arity in (r - 1, r):
+            by_content = {}
+            for creation, content in hochschild._stratum_blocks(arity, l, m, modes):
+                by_content.setdefault(content, []).append(
+                    coboundary_matrix(arity, l, m, caps, block=(creation, content))
+                )
+            for matrices in by_content.values():
+                assert len(matrices) == math.comb(modes + l - 1, l)
+                assert all(matrix == matrices[0] for matrix in matrices)
+
+
+@pytest.mark.parametrize("route", ["kernel", "table"])
+def test_report_builds_one_block_per_content_on_the_kernel_route_only(monkeypatch, route):
+    """The kernel route builds the two matrices of one block per content and
+    relabels its solution; the table route still builds every block."""
+    real = hochschild.coboundary_matrix
+    built = []
+
+    def counted(r, l, m, caps, route="kernel", block=None):
+        built.append((r, block))
+        return real(r, l, m, caps, route, block)
+
+    monkeypatch.setattr(hochschild, "coboundary_matrix", counted)
+    for modes, r, l, m in SMALL_STRATA:
+        built.clear()
+        cohomology_report(r, l, m, TruncationCaps(modes, l + m + r + 1), route=route)
+        blocks = dict.fromkeys([
+            *hochschild._stratum_blocks(r - 1, l, m, modes),
+            *hochschild._stratum_blocks(r, l, m, modes),
+        ])
+        contents = {content for _, content in blocks}
+        assert len(blocks) > len(contents)
+        outgoing = [block for arity, block in built if arity == r]
+        assert Counter(block for arity, block in built if arity == r - 1) == Counter(outgoing)
+        if route == "kernel":
+            assert Counter(content for _, content in outgoing) == Counter(contents)
+        else:
+            assert Counter(outgoing) == Counter(list(blocks))
 
 
 def test_gate_catches_an_entry_moved_to_another_block(monkeypatch):

@@ -33,6 +33,11 @@ def _rand_poly(rng, arity, max_mode=2, max_degree=2):
     return SymbolPolynomial(arity, terms)
 
 
+def _in_region(key, caps):
+    slots, eta = key
+    return eta.degree <= caps.max_degree and all(u.degree <= caps.max_degree for u in slots)
+
+
 def test_monomial_and_zero():
     zero = SymbolPolynomial.zero(2)
     assert zero.is_zero()
@@ -136,6 +141,26 @@ def test_reduced_symbol_needs_caps():
         reduced_symbol(SymbolPolynomial.one(1))
 
 
+def test_reduced_symbol_refuses_a_wider_window():
+    """A window wider than the polynomial's own, in either cap, would read
+    monomials the table cannot determine; a narrower one reads a part of the
+    full result."""
+    caps = TruncationCaps(2, 3)
+    family = KernelFamily.from_entries(
+        1, [(mi([(0, 1)]), (mi([(1, 2)]),), ONE), (VACUUM, (mi([(0, 3)]),), Scalar(2))]
+    )
+    poly = symbol_poly(table_from_kernel(family, caps))
+    for wider in (TruncationCaps(3, 3), TruncationCaps(2, 4), TruncationCaps(3, 4)):
+        with pytest.raises(TruncationError):
+            reduced_symbol(poly, wider)
+    narrow = TruncationCaps(2, 2)
+    full = reduced_symbol(poly)
+    assert reduced_symbol(poly, narrow) == SymbolPolynomial(
+        1, {k: c for k, c in full.terms.items() if _in_region(k, narrow)}
+    )
+    assert reduced_symbol(poly, narrow).terms == {((mi([(1, 2)]),), mi([(0, 1)])): ONE}
+
+
 def test_reduced_symbol_recovers_kernel_monomials():
     rng = Random(67)
     caps = TruncationCaps(2, 4)
@@ -192,6 +217,35 @@ def test_ring_axioms_random():
         assert p.mul(q).mul(r) == p.mul(q.mul(r))
         assert p.mul(q + r) == p.mul(q) + p.mul(r)
         assert (p - p).is_zero()
+
+
+def test_product_in_region_equals_filtered_full_product():
+    """The in-region product is the unbounded product with every monomial
+    outside the region dropped, also when either factor already has terms
+    past the region (in a slot, on the output side, or both)."""
+    rng = Random(131)
+    region = TruncationCaps(2, 2)
+
+    def rand_index():
+        return mi({0: rng.randint(0, 2), 1: rng.randint(0, 1)})
+
+    def rand_poly(arity):
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            terms[(tuple(rand_index() for _ in range(arity)), rand_index())] = rand_scalar(rng)
+        return SymbolPolynomial(arity, terms)
+
+    outside = [0, 0]
+    for _ in range(60):
+        arity = rng.randint(1, 3)
+        p, q = rand_poly(arity), rand_poly(arity)
+        full = p.mul(q)
+        expected = {k: c for k, c in full.terms.items() if _in_region(k, region)}
+        outside[0] += any(not _in_region(k, region) for k in p.terms)
+        outside[1] += any(not _in_region(k, region) for k in full.terms)
+        assert p.mul(q, region=region) == SymbolPolynomial(arity, expected)
+        assert p.mul(q, region=region).caps == region
+    assert min(outside) > 10
 
 
 def test_arity_mismatch():
