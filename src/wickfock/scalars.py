@@ -2,6 +2,11 @@
 
 Every coefficient in this package is a + b*i with a, b arbitrary-precision
 rationals.  All arithmetic is exact; floating point never appears.
+
+A Scalar holds its value as one reduced integer triple (a, b, d) meaning
+(a + b*i) / d, with d > 0 and gcd(a, b, d) == 1: a shared denominator, so a
+ring operation is a few integer products and one gcd, and equal values have
+equal fields.  ``re`` and ``im`` are Fractions computed on request.
 """
 
 from __future__ import annotations
@@ -9,11 +14,14 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 RationalLike = int | Fraction
 
 # An optional sign, digits, and optionally "/" and digits that are not all 0.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+_new = object.__new__
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -46,87 +54,112 @@ def format_fraction(value: Fraction) -> str:
 
 
 class Scalar:
-    """An exact complex number with rational real and imaginary parts."""
+    """An exact complex number with rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    The value (a + b*i) / d is stored as three ints in canonical form:
+    d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1) and equal values have
+    equal fields.  Every operation builds its result through ``_raw``, which
+    restores the form with one gcd.  The fields are private and never
+    reassigned; ``re`` and ``im`` read them as Fractions.
+    """
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    __slots__ = ("_a", "_b", "_d")
+
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0):
+        for part in (re, im):
+            if type(part) is bool or not isinstance(part, (int, Fraction)):
+                raise TypeError(f"Scalar parts must be int or Fraction, got {part!r}")
+        dr, di = re.denominator, im.denominator
+        return cls._raw(re.numerator * di, im.numerator * dr, dr * di)
 
     @classmethod
-    def _raw(cls, re: Fraction, im: Fraction) -> "Scalar":
-        """Wrap values that are already Fractions, skipping coercion."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "re", re)
-        object.__setattr__(obj, "im", im)
+    def _raw(cls, a: int, b: int, d: int) -> "Scalar":
+        """(a + b*i) / d from ints with d > 0, brought to canonical form."""
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        obj = _new(cls)
+        obj._a = a
+        obj._b = b
+        obj._d = d
         return obj
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar._raw(self.re + other.re, self.im + other.im)
+        d, e = self._d, other._d
+        return Scalar._raw(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar._raw(self.re - other.re, self.im - other.im)
+        d, e = self._d, other._d
+        return Scalar._raw(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __neg__(self) -> "Scalar":
-        return Scalar._raw(-self.re, -self.im)
+        return Scalar._raw(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
-            if not self.im and not other.im:
-                return Scalar._raw(self.re * other.re, _ZERO_FRACTION)
-            return Scalar._raw(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+            a, b, c, e = self._a, self._b, other._a, other._b
+            return Scalar._raw(a * c - b * e, a * e + b * c, self._d * other._d)
         if isinstance(other, (int, Fraction)):
-            return Scalar._raw(self.re * other, self.im * other)
+            p = other.numerator
+            return Scalar._raw(self._a * p, self._b * p, self._d * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Scalar._raw(self.re / other, self.im / other)
-        if not isinstance(other, Scalar):
+        if isinstance(other, Scalar):
+            # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+            c, e, f = other._a, other._b, other._d
+            p, q = (self._a * c + self._b * e) * f, (self._b * c - self._a * e) * f
+            n = c * c + e * e
+        elif isinstance(other, (int, Fraction)):
+            f, n = other.denominator, other.numerator
+            if n < 0:  # keep d > 0: the divisor's sign moves to the numerators
+                f, n = -f, -n
+            p, q = self._a * f, self._b * f
+        else:
             return NotImplemented
-        denom = other.re * other.re + other.im * other.im
-        if not denom:
+        if not n:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar._raw(
-            (self.re * other.re + self.im * other.im) / denom,
-            (self.im * other.re - self.re * other.im) / denom,
-        )
+        return Scalar._raw(p, q, self._d * n)
 
     def abs_squared(self) -> Fraction:
         """re**2 + im**2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return Scalar._raw(self._a, -self._b, self._d)
 
     # -- comparisons / hashing ----------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
-            return self.re == other.re and self.im == other.im
+            return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return not self._b and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # A real value hashes like the equal int or Fraction.
+        if not self._b:
+            return hash(self.re)
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __repr__(self) -> str:
-        if not self.im:
+        if not self._b:
             return f"Scalar({format_fraction(self.re)})"
         return f"Scalar({format_fraction(self.re)}, {format_fraction(self.im)})"
 
@@ -140,8 +173,6 @@ class Scalar:
     def from_json_fields(cls, obj: dict) -> "Scalar":
         return cls(parse_fraction(obj["re"]), parse_fraction(obj.get("im", "0")))
 
-
-_ZERO_FRACTION = Fraction(0)
 
 ZERO = Scalar(0)
 ONE = Scalar(1)

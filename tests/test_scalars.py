@@ -1,4 +1,6 @@
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -6,8 +8,10 @@ from hypothesis import strategies as st
 
 from wickfock.scalars import ONE, ZERO, Scalar, format_fraction, parse_fraction
 
-rationals = st.fractions(
-    min_value=-10, max_value=10, max_denominator=12
+big_ints = st.integers(min_value=-(2**80), max_value=2**80)
+rationals = st.one_of(
+    st.fractions(min_value=-10, max_value=10, max_denominator=12),
+    st.builds(Fraction, big_ints, st.integers(min_value=1, max_value=2**70)),
 )
 scalars = st.builds(Scalar, rationals, rationals)
 
@@ -34,8 +38,66 @@ def test_arithmetic_hand_values():
 
 
 def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        Scalar(1) / Scalar(0)
+    for zero in (Scalar(0), 0, Fraction(0), Scalar(0, 0)):
+        with pytest.raises(ZeroDivisionError):
+            Scalar(1) / zero
+
+
+def test_constructor_refuses_parts_that_are_not_int_or_fraction():
+    for bad in (0.1, 1.0, "1/3", "2", True, None, Decimal(1), 1j, Scalar(1)):
+        with pytest.raises(TypeError):
+            Scalar(bad)
+        with pytest.raises(TypeError):
+            Scalar(1, bad)
+
+
+def _reference_mul(x, y):
+    (a, b), (c, e) = x, y
+    return a * c - b * e, a * e + b * c
+
+
+def _reference_div(x, y):
+    (a, b), (c, e) = x, y
+    n = c * c + e * e
+    return (a * c + b * e) / n, (b * c - a * e) / n
+
+
+def _assert_is(result, expected):
+    """result is a canonical Scalar with the value of the (re, im) pair expected."""
+    a, b, d = result._a, result._b, result._d
+    assert all(type(field) is int for field in (a, b, d))
+    assert d > 0 and gcd(a, b, d) == 1
+    assert type(result.re) is Fraction and type(result.im) is Fraction
+    assert (result.re, result.im) == expected
+    same = Scalar(*expected)
+    assert result == same and hash(result) == hash(same)
+    re, im = expected
+    if not im:
+        assert result == re and hash(result) == hash(re)
+        if re.denominator == 1:
+            assert result == int(re) and hash(result) == hash(int(re))
+
+
+@given(rationals, rationals, st.one_of(st.tuples(rationals, rationals), big_ints, rationals))
+def test_operations_match_a_fraction_pair_reference(re, im, other):
+    """Each operation on Scalars agrees with the same formula on (re, im) Fraction pairs.
+
+    ``other`` is a Scalar (drawn as its pair), an int or a Fraction, of either sign.
+    """
+    x, y = Scalar(re, im), Scalar(*other) if isinstance(other, tuple) else other
+    xp = (re, im)
+    yp = other if isinstance(other, tuple) else (Fraction(other), Fraction(0))
+    _assert_is(x, xp)
+    _assert_is(-x, (-re, -im))
+    _assert_is(x.conjugate(), (re, -im))
+    assert type(x.abs_squared()) is Fraction and x.abs_squared() == re * re + im * im
+    _assert_is(x * y, _reference_mul(xp, yp))
+    _assert_is(y * x, _reference_mul(xp, yp))
+    if isinstance(y, Scalar):
+        _assert_is(x + y, (re + yp[0], im + yp[1]))
+        _assert_is(x - y, (re - yp[0], im - yp[1]))
+    if any(yp):
+        _assert_is(x / y, _reference_div(xp, yp))
 
 
 @given(scalars, scalars, scalars)
