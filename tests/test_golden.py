@@ -42,6 +42,7 @@ CASES = {
     ],
     "expand_table": ["expand", _in("table_2.json")],
     "expand_kernel": ["expand", _in("kernel_1.json"), "--max-mode", "2", "--max-degree", "3"],
+    "expand_edge": ["expand", _in("kernel_edge.json"), "--max-mode", "2", "--max-degree", "2"],
     "delta_kernel": ["delta", _in("kernel_1.json")],
     "delta_table": ["delta", _in("kernel_1.json"), "--route", "table"],
     "delta_kernel_2": ["delta", _in("kernel_2.json")],
