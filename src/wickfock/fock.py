@@ -10,7 +10,12 @@ Conventions, fixed once for the whole package:
   vectors gives the exponential of the mode bracket exactly.
 * The topological norm keeps the separate ``degree!`` weight.
 
-Everything is exact: coefficients are Gaussian rationals.
+Everything is exact: coefficients are Gaussian rationals.  Fock vectors, test
+vectors, kernel families (``operators``) and symbol polynomials
+(``symbolcalc``) are all finite linear combinations over a set of keys; their
+``+``, ``-``, scalar ``*``, equality and immutability are written once, in
+``_SparseMap``, and each class adds only its key validation, fixed fields,
+queries and JSON form.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .errors import ArityError
 from .multiindex import VACUUM, MultiIndex
 from .scalars import ONE, ZERO, Scalar, _json_int
 
@@ -52,26 +58,94 @@ def _add_term(acc: dict, key, value) -> None:
         del acc[key]
 
 
-class FockVector:
-    """A finitely supported map MultiIndex -> Scalar; zero terms are not stored."""
+_new = object.__new__
+_set = object.__setattr__
+
+
+class _SparseMap:
+    """A finitely supported map key -> Scalar; ``terms`` never holds a zero.
+
+    The linear structure shared by every such map of the package.  A subclass
+    validates keys in ``_key``; one with fixed fields beyond ``terms`` (its
+    ``arity``, say) builds results through its own ``_like``.  Only maps of
+    the same class and arity combine.
+    """
 
     __slots__ = ("terms",)
+    arity = None  # slots per key, for maps whose keys have them
 
-    def __init__(self, terms: dict[MultiIndex, Scalar] | Iterable = ()):
+    def __init__(self, terms: dict | Iterable = ()):
         items = terms.items() if isinstance(terms, dict) else terms
-        acc: dict[MultiIndex, Scalar] = {}
-        for index, coeff in items:
-            _add_term(acc, index, coeff)
-        object.__setattr__(self, "terms", acc)
+        acc: dict = {}
+        for key, value in items:
+            _add_term(acc, self._key(key), value)
+        _set(self, "terms", acc)
+
+    def _key(self, key):
+        """The normalized key; raises on a key this map cannot hold."""
+        return key
 
     @classmethod
-    def _raw(cls, terms: dict[MultiIndex, Scalar]) -> "FockVector":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "terms", terms)
+    def _raw(cls, terms: dict, other=None):
+        """A map over terms that hold no zero value, built unchecked.
+
+        ``_like`` builds the result of a linear operation from self (and
+        ``other``, a sum's second operand); without fixed fields it is this.
+        """
+        obj = _new(cls)
+        _set(obj, "terms", terms)
         return obj
 
+    _like = _raw
+
     def __setattr__(self, name, value):
-        raise AttributeError("FockVector is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if other.arity != self.arity:
+            raise ArityError(f"cannot combine arities {self.arity} and {other.arity}")
+        acc = dict(self.terms)
+        for key, value in other.terms.items():
+            _add_term(acc, key, value)
+        return self._like(acc, other)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, Scalar):
+            if not isinstance(scalar, (int, Fraction)):
+                return NotImplemented
+            scalar = Scalar(scalar)
+        if not scalar:
+            return self._like({})
+        return self._like({k: c * scalar for k, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return (
+            other.__class__ is self.__class__
+            and self.arity == other.arity
+            and self.terms == other.terms
+        )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+
+class FockVector(_SparseMap):
+    """A finitely supported map MultiIndex -> Scalar; zero terms are not stored."""
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "FockVector":
@@ -85,41 +159,8 @@ class FockVector:
     def vacuum(cls) -> "FockVector":
         return cls.basis(VACUUM)
 
-    # -- linear structure -----------------------------------------------------
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        acc = dict(self.terms)
-        for index, coeff in other.terms.items():
-            _add_term(acc, index, coeff)
-        return FockVector._raw(acc)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-other)
-
-    def __neg__(self) -> "FockVector":
-        return FockVector._raw({i: -c for i, c in self.terms.items()})
-
-    def __mul__(self, scalar) -> "FockVector":
-        if isinstance(scalar, (int, Fraction)):
-            scalar = Scalar(scalar)
-        if not isinstance(scalar, Scalar):
-            return NotImplemented
-        if not scalar:
-            return FockVector.zero()
-        return FockVector._raw({i: c * scalar for i, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    # -- queries ---------------------------------------------------------------
-
     def coefficient(self, index: MultiIndex) -> Scalar:
         return self.terms.get(index, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def max_degree(self) -> int:
         return max((i.degree for i in self.terms), default=0)
@@ -133,16 +174,11 @@ class FockVector:
             {i: c for i, c in self.terms.items() if i.degree == degree}
         )
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FockVector) and self.terms == other.terms
-
     def __repr__(self) -> str:
         if not self.terms:
             return "FockVector(0)"
         parts = [f"{c!r}*e{list(i.pairs)}" for i, c in sorted(self.terms.items())]
         return "FockVector(" + " + ".join(parts) + ")"
-
-    # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
         return {
@@ -160,29 +196,16 @@ class FockVector:
         )
 
 
-class TestVector:
+class TestVector(_SparseMap):
     """A degree-one datum: a finitely supported map mode -> Scalar."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
     __test__ = False  # not a pytest case, despite the name
 
-    def __init__(self, coeffs: dict[int, Scalar] | Iterable = ()):
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        acc: dict[int, Scalar] = {}
-        for mode, coeff in items:
-            if mode < 0:
-                raise ValueError("modes must be nonnegative")
-            _add_term(acc, mode, coeff)
-        object.__setattr__(self, "coeffs", acc)
-
-    @classmethod
-    def _raw(cls, coeffs: dict[int, Scalar]) -> "TestVector":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "coeffs", coeffs)
-        return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TestVector is immutable")
+    def _key(self, mode: int) -> int:
+        if mode < 0:
+            raise ValueError("modes must be nonnegative")
+        return mode
 
     @classmethod
     def zero(cls) -> "TestVector":
@@ -193,32 +216,15 @@ class TestVector:
         return cls({mode: coeff})
 
     def coeff(self, mode: int) -> Scalar:
-        return self.coeffs.get(mode, ZERO)
+        return self.terms.get(mode, ZERO)
 
     def modes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
-
-    def __add__(self, other: "TestVector") -> "TestVector":
-        acc = dict(self.coeffs)
-        for mode, coeff in other.coeffs.items():
-            _add_term(acc, mode, coeff)
-        return TestVector._raw(acc)
-
-    def __mul__(self, scalar) -> "TestVector":
-        if isinstance(scalar, (int, Fraction)):
-            scalar = Scalar(scalar)
-        if not isinstance(scalar, Scalar):
-            return NotImplemented
-        if not scalar:
-            return TestVector.zero()
-        return TestVector._raw({m: c * scalar for m, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
+        return tuple(sorted(self.terms))
 
     def bracket(self, other: "TestVector") -> Scalar:
         """The bilinear mode pairing sum(coeff_i * other_i), no conjugation."""
         total = ZERO
-        small, big = self.coeffs, other.coeffs
+        small, big = self.terms, other.terms
         if len(big) < len(small):
             small, big = big, small
         for mode, coeff in small.items():
@@ -231,7 +237,7 @@ class TestVector:
         """prod coeff(mode) ** multiplicity over the index pattern."""
         value = ONE
         for mode, mult in index.pairs:
-            base = self.coeffs.get(mode)
+            base = self.terms.get(mode)
             if base is None:
                 return ZERO
             for _ in range(mult):
@@ -241,20 +247,17 @@ class TestVector:
     def as_degree_one(self) -> FockVector:
         """Embed as the degree-one Fock vector sum coeff_i * e_{(i,1)}."""
         return FockVector(
-            {MultiIndex(((m, 1),)): c for m, c in self.coeffs.items()}
+            {MultiIndex(((m, 1),)): c for m, c in self.terms.items()}
         )
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TestVector) and self.coeffs == other.coeffs
-
     def __repr__(self) -> str:
-        return f"TestVector({dict(sorted(self.coeffs.items()))!r})"
+        return f"TestVector({dict(sorted(self.terms.items()))!r})"
 
     def to_json(self) -> dict:
         return {
             "coeffs": [
                 {"mode": mode, **coeff.json_fields()}
-                for mode, coeff in sorted(self.coeffs.items())
+                for mode, coeff in sorted(self.terms.items())
             ]
         }
 

@@ -42,8 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Sequence
 
 from .errors import ComplexInconsistencyError, TruncationError
 from .expansion import extract_kernels
@@ -150,16 +150,6 @@ def polydiff_degree(cochain: Cochain) -> tuple[int, int] | None:
 # -- stratum bases and matrices ---------------------------------------------------
 
 
-def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def stratum_basis(r: int, l: int, m: int, caps: TruncationCaps):
     """Basis of homogeneous (l, m) cochains of arity r on the window's modes.
 
@@ -179,14 +169,13 @@ def _stratum_keys(r: int, l: int, m: int, max_mode: int) -> tuple:
     modes = range(max_mode)
     if r == 0:
         return tuple(indices_of_degree(l, modes) if m == 0 else ())
-    creations = indices_of_degree(l, modes)
-    keys = []
-    for m_tuple in _compositions(m, r):
-        slot_choices = [indices_of_degree(d, modes) for d in m_tuple]
-        for creation in creations:
-            for slots in product(*slot_choices):
-                keys.append((creation, slots))
-    return tuple(sorted(keys))
+    # Pairs of a sorted creation list and a sorted slot-tuple list, creation
+    # outermost, come out in sorted order: no sort over the whole basis.
+    slot_tuples = sorted(
+        s for s in iter_index_tuples(r, m, modes) if sum(u.degree for u in s) == m
+    )
+    creations = sorted(indices_of_degree(l, modes))
+    return tuple((creation, slots) for creation in creations for slots in slot_tuples)
 
 
 def _block(key) -> tuple[MultiIndex, MultiIndex]:
@@ -369,7 +358,7 @@ def coboundary_matrix(
                 image = _table_route_delta(family, caps, l, m)
             else:
                 raise ValueError(f"unknown route {route!r}")
-            for entry, coeff in image.entries():
+            for entry, coeff in image.terms.items():
                 if entry not in index:
                     raise ComplexInconsistencyError(
                         f"coboundary left the {where} at {entry}"
@@ -424,11 +413,7 @@ def cohomology_report(
     cocycles = []
     if r >= 1:
         for support in supports:
-            cocycles.append(
-                KernelFamily.from_entries(
-                    r, [(*basis_keys[position], coeff) for position, coeff in support]
-                )
-            )
+            cocycles.append(KernelFamily(r, [(basis_keys[p], c) for p, c in support]))
     return {
         "dim_ker": len(supports),
         "dim_im_prev": rank_prev,

@@ -9,7 +9,10 @@ constants and confirm the property suites catch them.
 
 A :class:`KernelFamily` is the sparse data of a finite sum of normal-ordered
 monomials a*_I a_{J_1} ... a_{J_r} acting r-linearly: annihilate slot j by
-J_j, Wick-multiply the slot results, then create by I.  A
+J_j, Wick-multiply the slot results, then create by I.  It is one flat map
+from entries (I, (J_1, ..., J_r)) to coefficients, with the linear structure
+of every sparse map (``fock._SparseMap``); its (l, M) blocks are derived
+from the entries when read.  A
 :class:`BasisActionTable` is the extensional form of an r-linear operator on
 a finite truncation window: a map from argument label tuples to values.
 """
@@ -20,7 +23,15 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ArityError, TruncationError
-from .fock import FockVector, TruncationCaps, _add_term, truncate, wick_product
+from .fock import (
+    FockVector,
+    TruncationCaps,
+    _add_term,
+    _set,
+    _SparseMap,
+    truncate,
+    wick_product,
+)
 from .multiindex import MultiIndex, indices_up_to, iter_index_tuples
 from .scalars import Scalar, _json_int
 
@@ -79,41 +90,34 @@ BlockKey = tuple[int, tuple[int, ...]]
 EntryKey = tuple[MultiIndex, tuple[MultiIndex, ...]]
 
 
-class KernelFamily:
+class KernelFamily(_SparseMap):
     """Sparse coefficients of a finite sum of normal-ordered kernel operators.
 
-    ``blocks`` maps (l, M) to a map (I, (J_1, ..., J_r)) -> Scalar where
-    degree(I) = l and degree(J_j) = M_j.  The arity r is the number of J
-    slots; every block of one family shares it.
+    ``terms`` maps entries (I, (J_1, ..., J_r)) to a Scalar; the arity r is
+    the number of J slots, the same for every entry.  ``blocks`` is derived
+    from ``terms``: the entries grouped by (l, M) = (degree(I), (degree(J_1),
+    ..., degree(J_r))), the grouping the JSON form uses.
     """
 
-    __slots__ = ("arity", "blocks", "_entry_cache")
+    __slots__ = ("arity",)
 
-    def __init__(self, arity: int, blocks: dict[BlockKey, dict[EntryKey, Scalar]] = None):
+    def __init__(self, arity: int, terms: dict[EntryKey, Scalar] | Iterable = ()):
         if arity < 1:
             raise ValueError("kernel family arity must be at least 1")
-        normalized: dict[BlockKey, dict[EntryKey, Scalar]] = {}
-        for (l, m_tuple), entries in (blocks or {}).items():
-            m_tuple = tuple(m_tuple)
-            if len(m_tuple) != arity:
-                raise ArityError(f"block {(l, m_tuple)} does not match arity {arity}")
-            clean: dict[EntryKey, Scalar] = {}
-            for (creation, annihilations), coeff in entries.items():
-                annihilations = tuple(annihilations)
-                if creation.degree != l:
-                    raise ValueError("creation index degree must equal block l")
-                if tuple(j.degree for j in annihilations) != m_tuple:
-                    raise ValueError("annihilation degrees must equal block M")
-                if coeff:
-                    clean[(creation, annihilations)] = coeff
-            if clean:
-                normalized[(l, m_tuple)] = clean
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "blocks", normalized)
-        object.__setattr__(self, "_entry_cache", None)
+        _set(self, "arity", arity)
+        super().__init__(terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("KernelFamily is immutable")
+    def _key(self, entry) -> EntryKey:
+        creation, annihilations = entry
+        annihilations = tuple(annihilations)
+        if len(annihilations) != self.arity:
+            raise ArityError(f"entry {entry} does not match arity {self.arity}")
+        return creation, annihilations
+
+    def _like(self, terms: dict, other=None) -> "KernelFamily":
+        obj = KernelFamily._raw(terms)
+        _set(obj, "arity", self.arity)
+        return obj
 
     @classmethod
     def from_entries(
@@ -121,14 +125,8 @@ class KernelFamily:
         arity: int,
         entries: Iterable[tuple[MultiIndex, Sequence[MultiIndex], Scalar]],
     ) -> "KernelFamily":
-        """Group (I, J-tuple, coefficient) triples into blocks, summing repeats."""
-        blocks: dict[BlockKey, dict[EntryKey, Scalar]] = {}
-        for creation, annihilations, coeff in entries:
-            annihilations = tuple(annihilations)
-            key = (creation.degree, tuple(j.degree for j in annihilations))
-            entry = (creation, annihilations)
-            _add_term(blocks.setdefault(key, {}), entry, coeff)
-        return cls(arity, blocks)
+        """The family of (I, J-tuple, coefficient) triples, summing repeats."""
+        return cls(arity, (((i, js), c) for i, js, c in entries))
 
     @classmethod
     def single(
@@ -138,77 +136,54 @@ class KernelFamily:
         annihilations: Sequence[MultiIndex],
         coeff: Scalar = Scalar(1),
     ) -> "KernelFamily":
-        return cls.from_entries(arity, [(creation, tuple(annihilations), coeff)])
+        return cls(arity, [((creation, annihilations), coeff)])
 
     @classmethod
     def empty(cls, arity: int) -> "KernelFamily":
-        return cls(arity, {})
+        return cls(arity)
 
-    def entries(self) -> tuple[tuple[EntryKey, Scalar], ...]:
-        if self._entry_cache is None:
-            flat = []
-            for _, bucket in sorted(self.blocks.items()):
-                for entry in sorted(bucket):
-                    flat.append((entry, bucket[entry]))
-            object.__setattr__(self, "_entry_cache", tuple(flat))
-        return self._entry_cache
+    def entries(self) -> list[tuple[EntryKey, Scalar]]:
+        """The (entry, coefficient) pairs, sorted by entry."""
+        return sorted(self.terms.items())
 
-    def is_zero(self) -> bool:
-        return not self.blocks
+    @property
+    def blocks(self) -> dict[BlockKey, dict[EntryKey, Scalar]]:
+        """The entries grouped by (l, M); a new dict on every read."""
+        grouped: dict[BlockKey, dict[EntryKey, Scalar]] = {}
+        for entry, coeff in self.terms.items():
+            creation, annihilations = entry
+            key = (creation.degree, tuple(j.degree for j in annihilations))
+            grouped.setdefault(key, {})[entry] = coeff
+        return grouped
 
     def strata(self) -> list[tuple[int, int]]:
-        """Sorted distinct (l, total annihilation degree) over nonempty blocks."""
-        return sorted({(l, sum(m)) for l, m in self.blocks})
-
-    def __add__(self, other: "KernelFamily") -> "KernelFamily":
-        if other.arity != self.arity:
-            raise ArityError("cannot add kernel families of different arity")
-        merged = self.entries() + other.entries()
-        return KernelFamily.from_entries(self.arity, [(i, j, c) for (i, j), c in merged])
-
-    def __mul__(self, scalar) -> "KernelFamily":
-        if not isinstance(scalar, Scalar):
-            scalar = Scalar(scalar)
-        return KernelFamily.from_entries(
-            self.arity,
-            [(i, j, c * scalar) for (i, j), c in self.entries()],
-        )
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "KernelFamily") -> "KernelFamily":
-        return self + other * Scalar(-1)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, KernelFamily)
-            and self.arity == other.arity
-            and self.blocks == other.blocks
+        """Sorted distinct (l, total annihilation degree) over the entries."""
+        return sorted(
+            {(i.degree, sum(j.degree for j in js)) for i, js in self.terms}
         )
 
     def __repr__(self) -> str:
-        n = sum(len(b) for b in self.blocks.values())
-        return f"KernelFamily(arity={self.arity}, entries={n})"
+        return f"KernelFamily(arity={self.arity}, entries={len(self.terms)})"
 
-    def to_json(self, reliable: dict[BlockKey, bool] | None = None) -> dict:
-        blocks = []
-        for (l, m_tuple), bucket in sorted(self.blocks.items()):
-            block = {
-                "l": l,
-                "M": list(m_tuple),
-                "entries": [
-                    {
-                        "I": creation.to_json(),
-                        "J": [j.to_json() for j in annihilations],
-                        **bucket[(creation, annihilations)].json_fields(),
-                    }
-                    for creation, annihilations in sorted(bucket)
-                ],
-            }
-            if reliable is not None:
-                block["reliable"] = reliable.get((l, m_tuple), True)
-            blocks.append(block)
-        return {"arity": self.arity, "blocks": blocks}
+    def to_json(self) -> dict:
+        return {
+            "arity": self.arity,
+            "blocks": [
+                {
+                    "l": l,
+                    "M": list(m_tuple),
+                    "entries": [
+                        {
+                            "I": i.to_json(),
+                            "J": [j.to_json() for j in js],
+                            **coeff.json_fields(),
+                        }
+                        for (i, js), coeff in sorted(bucket.items())
+                    ],
+                }
+                for (l, m_tuple), bucket in sorted(self.blocks.items())
+            ],
+        }
 
     @classmethod
     def from_json(cls, data: dict) -> "KernelFamily":
@@ -238,7 +213,7 @@ def apply_kernel(family: KernelFamily, args: Sequence[FockVector]) -> FockVector
             f"kernel family of arity {family.arity} applied to {len(args)} arguments"
         )
     total = FockVector.zero()
-    for (creation, annihilations), coeff in family.entries():
+    for (creation, annihilations), coeff in family.terms.items():
         prod_vec: FockVector | None = None
         dead = False
         for j, annihilation in enumerate(annihilations):

@@ -94,12 +94,19 @@ class Scalar:
 
     # -- arithmetic ---------------------------------------------------------
 
+    # Another operand type gets NotImplemented, so Python raises TypeError.
     def __add__(self, other: "Scalar") -> "Scalar":
-        d, e = self._d, other._d
+        try:
+            d, e = self._d, other._d
+        except AttributeError:
+            return NotImplemented
         return Scalar._raw(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        d, e = self._d, other._d
+        try:
+            d, e = self._d, other._d
+        except AttributeError:
+            return NotImplemented
         return Scalar._raw(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __neg__(self) -> "Scalar":

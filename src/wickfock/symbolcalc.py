@@ -6,7 +6,9 @@ evaluated on truncated coherent vectors.  On a finite window this function is
 a polynomial in the mode coefficients: one variable ``x_i^(j)`` per argument
 slot j and mode i, and one ``y_i`` per mode on the output side.  Exponent
 vectors reuse :class:`MultiIndex` (mode -> power), so a monomial key is a
-slot-tuple of exponent indices plus one output exponent index.
+slot-tuple of exponent indices plus one output exponent index.  A
+:class:`SymbolPolynomial` takes its sums and scalar multiples from
+``fock._SparseMap``; a product with another polynomial is ``mul``.
 
 The reduced symbol divides out the coupling factor
 ``prod_j exp(sum_i x_i^(j) y_i)``, handled here as a truncated power series
@@ -28,7 +30,16 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import ArityError, TruncationError
-from .fock import TestVector, TruncationCaps, _add_term, coherent, pairing
+from .fock import (
+    TestVector,
+    TruncationCaps,
+    _add_term,
+    _new,
+    _set,
+    _SparseMap,
+    coherent,
+    pairing,
+)
 from .multiindex import VACUUM, MultiIndex, indices_up_to
 from .operators import BasisActionTable, apply_table
 from .scalars import ONE, ZERO, Scalar, _json_int
@@ -36,7 +47,7 @@ from .scalars import ONE, ZERO, Scalar, _json_int
 TermKey = tuple[tuple[MultiIndex, ...], MultiIndex]
 
 
-class SymbolPolynomial:
+class SymbolPolynomial(_SparseMap):
     """A sparse polynomial in slot variables x^(j) and output variables y.
 
     ``terms`` maps ((U_1, ..., U_r), V) to a Scalar, where U_j is the
@@ -45,7 +56,7 @@ class SymbolPolynomial:
     it is metadata and does not enter equality.
     """
 
-    __slots__ = ("arity", "terms", "caps")
+    __slots__ = ("arity", "caps")
 
     def __init__(
         self,
@@ -55,27 +66,28 @@ class SymbolPolynomial:
     ):
         if arity < 1:
             raise ValueError("symbol polynomial arity must be at least 1")
-        clean: dict[TermKey, Scalar] = {}
-        for (slots, eta), coeff in (terms or {}).items():
-            slots = tuple(slots)
-            if len(slots) != arity:
-                raise ArityError("term slot count does not match arity")
-            if coeff:
-                clean[(slots, eta)] = coeff
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "caps", caps)
+        _set(self, "arity", arity)
+        _set(self, "caps", caps)
+        super().__init__(terms or ())
+
+    def _key(self, key) -> TermKey:
+        slots, eta = key
+        slots = tuple(slots)
+        if len(slots) != self.arity:
+            raise ArityError("term slot count does not match arity")
+        return slots, eta
 
     @classmethod
     def _raw(cls, arity, terms, caps=None):
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "arity", arity)
-        object.__setattr__(obj, "terms", terms)
-        object.__setattr__(obj, "caps", caps)
+        obj = _new(cls)
+        _set(obj, "arity", arity)
+        _set(obj, "terms", terms)
+        _set(obj, "caps", caps)
         return obj
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymbolPolynomial is immutable")
+    def _like(self, terms: dict, other=None) -> "SymbolPolynomial":
+        caps = self.caps or getattr(other, "caps", None)
+        return SymbolPolynomial._raw(self.arity, terms, caps)
 
     @classmethod
     def zero(cls, arity: int) -> "SymbolPolynomial":
@@ -94,31 +106,6 @@ class SymbolPolynomial:
     ) -> "SymbolPolynomial":
         slots = tuple(slots)
         return cls(len(slots), {(slots, eta): coeff})
-
-    # -- ring structure --------------------------------------------------------
-
-    def __add__(self, other: "SymbolPolynomial") -> "SymbolPolynomial":
-        if other.arity != self.arity:
-            raise ArityError("cannot add polynomials of different arity")
-        acc = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _add_term(acc, key, coeff)
-        return SymbolPolynomial._raw(self.arity, acc, self.caps or other.caps)
-
-    def __sub__(self, other: "SymbolPolynomial") -> "SymbolPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "SymbolPolynomial":
-        return SymbolPolynomial._raw(
-            self.arity, {k: -c for k, c in self.terms.items()}, self.caps
-        )
-
-    def scale(self, scalar: Scalar) -> "SymbolPolynomial":
-        if not scalar:
-            return SymbolPolynomial.zero(self.arity)
-        return SymbolPolynomial._raw(
-            self.arity, {k: c * scalar for k, c in self.terms.items()}, self.caps
-        )
 
     def mul(
         self, other: "SymbolPolynomial", region: TruncationCaps | None = None
@@ -159,9 +146,7 @@ class SymbolPolynomial:
     def __mul__(self, other):
         if isinstance(other, SymbolPolynomial):
             return self.mul(other)
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        return NotImplemented
+        return _SparseMap.__mul__(self, other)
 
     # -- evaluation and queries --------------------------------------------------
 
@@ -181,16 +166,6 @@ class SymbolPolynomial:
                 value = value * eta.monomial(eta_exp)
                 total = total + value
         return total
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymbolPolynomial)
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
 
     def __repr__(self) -> str:
         return f"SymbolPolynomial(arity={self.arity}, terms={len(self.terms)})"

@@ -1,12 +1,7 @@
 from random import Random
 
 from wickfock.checks import rand_kernel_family
-from wickfock.expansion import (
-    block_reliable,
-    extract_kernels,
-    reconstruct,
-    reliability_flags,
-)
+from wickfock.expansion import extract_kernels, reconstruct
 from wickfock.fock import FockVector, TruncationCaps
 from wickfock.multiindex import VACUUM, MultiIndex
 from wickfock.operators import BasisActionTable, KernelFamily, table_from_kernel
@@ -122,13 +117,3 @@ def test_stratum_extraction_matches_filtered_full_extraction():
                 seen.add((arity, l == m))
     assert seen == {(arity, same) for arity in (1, 2, 3) for same in (True, False)}
 
-
-def test_reliability_flags():
-    caps = TruncationCaps(2, 3)
-    assert block_reliable(0, (0,), caps)
-    assert block_reliable(3, (3, 0), caps)
-    assert not block_reliable(4, (0,), caps)
-    assert not block_reliable(0, (4,), caps)
-    family = KernelFamily.single(1, mi([(0, 1)]), (mi([(1, 1)]),))
-    flags = reliability_flags(family, caps)
-    assert flags == {(1, (1,)): True}

@@ -3,7 +3,8 @@ from random import Random
 
 import pytest
 
-from wickfock.checks import rand_fock, rand_test_vector
+from wickfock.checks import rand_fock, rand_multiindex, rand_test_vector
+from wickfock.errors import ArityError
 from wickfock.fock import (
     FockVector,
     TestVector,
@@ -17,7 +18,9 @@ from wickfock.fock import (
     wick_product,
 )
 from wickfock.multiindex import VACUUM, MultiIndex
+from wickfock.operators import KernelFamily
 from wickfock.scalars import ONE, ZERO, Scalar
+from wickfock.symbolcalc import SymbolPolynomial
 
 mi = MultiIndex
 e = FockVector.basis
@@ -35,6 +38,79 @@ def series_pairing_oracle(xi: TestVector, eta: TestVector, depth: int) -> Scalar
             fact *= n
         total = total + power / fact
     return total
+
+
+# The four sparse maps of the package: a constructor from a terms dict or an
+# iterable of pairs, and a key drawn from a small space so keys repeat and
+# values cancel.
+SPARSE_KINDS = {
+    "FockVector": (FockVector, lambda rng: rand_multiindex(rng, 2, 2)),
+    "TestVector": (TestVector, lambda rng: rng.randrange(3)),
+    "KernelFamily": (
+        lambda terms=(): KernelFamily(2, terms),
+        lambda rng: (rand_multiindex(rng, 2, 1), (mi(), rand_multiindex(rng, 2, 1))),
+    ),
+    "SymbolPolynomial": (
+        lambda terms=(): SymbolPolynomial(2, terms),
+        lambda rng: ((mi(), rand_multiindex(rng, 2, 1)), rand_multiindex(rng, 2, 1)),
+    ),
+}
+
+
+def _reference(*scaled) -> dict:
+    """The sum of factor * value over (factor, [(key, value), ...]) pairs,
+    on a plain dict, with zero values dropped."""
+    acc = {}
+    for factor, pairs in scaled:
+        for key, value in pairs:
+            acc[key] = acc.get(key, ZERO) + value * factor
+    return {key: value for key, value in acc.items() if value}
+
+
+@pytest.mark.parametrize("kind", sorted(SPARSE_KINDS))
+def test_sparse_map_linear_structure(kind):
+    make, draw_key = SPARSE_KINDS[kind]
+    rng = Random(kind)
+    values = [Scalar(n, k) for n in range(-2, 3) for k in (0, 1)]
+    dropped = 0
+    for _ in range(60):
+        a = [(draw_key(rng), rng.choice(values)) for _ in range(rng.randint(0, 6))]
+        b = [(draw_key(rng), rng.choice(values)) for _ in range(rng.randint(0, 6))]
+        s = rng.choice(values)
+        x, y = make(a), make(b)
+        cases = {
+            "x": (x, [(ONE, a)]),
+            "x + y": (x + y, [(ONE, a), (ONE, b)]),
+            "x - y": (x - y, [(ONE, a), (-ONE, b)]),
+            "-x": (-x, [(-ONE, a)]),
+            "x * s": (x * s, [(s, a)]),
+            "s * x": (s * x, [(s, a)]),
+            "x * 3": (x * 3, [(Scalar(3), a)]),
+            "1/2 * x": (Fraction(1, 2) * x, [(Scalar(Fraction(1, 2)), a)]),
+        }
+        for name, (result, scaled) in cases.items():
+            expected = _reference(*scaled)
+            assert type(result) is type(x), name
+            assert result.terms == expected, name
+            assert all(result.terms.values()), name
+            assert result.is_zero() == (not result) == (not expected), name
+            assert result == make(expected), name
+        dropped += len({key for key, _ in a + b}) - len((x + y).terms)
+    assert dropped  # some sums cancelled
+    for other, (make_other, _) in SPARSE_KINDS.items():
+        if other != kind:
+            with pytest.raises(TypeError):
+                make() + make_other()
+            assert make() != make_other()
+    with pytest.raises(TypeError):
+        make() * "2"
+    with pytest.raises(AttributeError):
+        x.terms = {}
+    if kind in ("KernelFamily", "SymbolPolynomial"):
+        other_arity = type(x)(1)
+        with pytest.raises(ArityError):
+            make() + other_arity
+        assert make() != other_arity
 
 
 def test_vector_normalization_drops_zeros():

@@ -135,3 +135,12 @@ def test_json_round_trip(re, im):
 def test_immutability():
     with pytest.raises(AttributeError):
         Scalar(1).re = Fraction(2)
+
+
+def test_sums_with_other_types_raise_type_error():
+    for operand in (1, Fraction(1, 2), 1.0, "1", None):
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(TypeError):
+                op(Scalar(1), operand)
+            with pytest.raises(TypeError):
+                op(operand, Scalar(1))
