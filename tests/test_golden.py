@@ -62,6 +62,9 @@ CASES = {
     "cohomology_table_blocks": [
         "cohomology", "--r", "2", "--l", "1", "--m", "2", "--modes", "2", "--route", "table",
     ],
+    "cohomology_table_r3": [
+        "cohomology", "--r", "3", "--l", "0", "--m", "3", "--modes", "2", "--route", "table",
+    ],
     "check_all": ["check", "--suite", "all", "--cases", "3"],
 }
 
