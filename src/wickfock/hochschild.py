@@ -17,7 +17,10 @@ Two realizations are provided and must agree:
   truncates values, which reproduces the symbol route tabulated there.  Every
   term sends a row of total degree D through an entry of stratum (l, m) to
   degree D - m + l, so rows past max_degree - l + m for every stratum are
-  zero after truncation and are not evaluated.
+  zero after truncation and are not evaluated.  Neighbouring rows read X on
+  the same tuples of basis labels, so X is read from a table of its values
+  that lives for one coboundary call, each tuple evaluated once through
+  ``apply_kernel``, and the r + 2 terms of a row are added into one map.
 
 Zero-cochains are algebra elements; the algebra is commutative, so their
 coboundary (the commutator cochain) vanishes identically: every column of an
@@ -43,11 +46,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import Callable
 
 from .errors import ComplexInconsistencyError, TruncationError
 from .expansion import extract_kernels
-from .fock import FockVector, TruncationCaps, wick_product
+from .fock import FockVector, TruncationCaps, _add_term
 from .multiindex import (
     VACUUM,
     MultiIndex,
@@ -104,19 +107,43 @@ def kernel_coboundary(family: KernelFamily) -> KernelFamily:
 # -- coboundary, table route -----------------------------------------------------
 
 
-def _delta_value(family: KernelFamily, row: Sequence[MultiIndex]) -> FockVector:
-    """The defining alternating sum evaluated on one tuple of basis labels."""
-    r = family.arity
-    basis = [FockVector.basis(label) for label in row]
-    total = wick_product(basis[0], apply_kernel(family, basis[1:])) * Scalar(_term_sign(0))
+def _kernel_values(family: KernelFamily) -> Callable[[tuple], FockVector]:
+    """X(e_{A_1}, ..., e_{A_r}) as a function of the label tuple (A_1, ..., A_r).
+
+    Each tuple is evaluated once, through ``apply_kernel``; the table of
+    values lives as long as the returned function, one coboundary call.
+    """
+    values: dict = {}
+
+    def value_of(labels: tuple) -> FockVector:
+        value = values.get(labels)
+        if value is None:
+            value = apply_kernel(family, [FockVector.basis(a) for a in labels])
+            values[labels] = value
+        return value
+
+    return value_of
+
+
+def _delta_value(value_of: Callable[[tuple], FockVector], row: tuple) -> FockVector:
+    """The defining alternating sum on one tuple of basis labels, its r + 2
+    terms added into one coefficient map; ``value_of`` gives X on a label
+    tuple (``_kernel_values``)."""
+    r = len(row) - 1
+    acc: dict = {}
+    first, last = row[0], row[r]
+    sign = _term_sign(0)
+    for label, c in value_of(row[1:]).terms.items():
+        _add_term(acc, first.concat(label), c * sign)
     for i in range(1, r + 1):
-        merged = FockVector.basis(row[i - 1].concat(row[i]))
-        args = basis[: i - 1] + [merged] + basis[i + 1 :]
-        total = total + apply_kernel(family, args) * Scalar(_term_sign(i))
-    total = total + wick_product(
-        apply_kernel(family, basis[:r]), basis[r]
-    ) * Scalar(_term_sign(r + 1))
-    return total
+        sign = _term_sign(i)
+        merged = row[: i - 1] + (row[i - 1].concat(row[i]),) + row[i + 1 :]
+        for label, c in value_of(merged).terms.items():
+            _add_term(acc, label, c * sign)
+    sign = _term_sign(r + 1)
+    for label, c in value_of(row[:r]).terms.items():
+        _add_term(acc, label.concat(last), c * sign)
+    return FockVector._raw(acc)
 
 
 def table_coboundary(cochain: Cochain) -> BasisActionTable:
@@ -127,14 +154,16 @@ def table_coboundary(cochain: Cochain) -> BasisActionTable:
     exactly representable on the window.  Each of the r + 2 terms sends a
     row of total degree D through an entry of stratum (l, m) to degree
     D - m + l, so only the rows the cochain's own strata keep within
-    max_degree are evaluated; every other row truncates to zero.
+    max_degree are evaluated; every other row truncates to zero.  X is read
+    from a table built during the call, each basis tuple evaluated once.
     """
     family, caps = cochain.kernels, cochain.caps
     r = family.arity
     for l, m in family.strata():
         _check_caps(r, l, m, caps)
     rows = _window_rows(r + 1, caps, family)
-    return _tabulate(r + 1, caps, rows, lambda row: _delta_value(family, row))
+    value_of = _kernel_values(family)
+    return _tabulate(r + 1, caps, rows, lambda row: _delta_value(value_of, row))
 
 
 def polydiff_degree(cochain: Cochain) -> tuple[int, int] | None:
@@ -319,10 +348,12 @@ def _table_route_delta(
     """Coboundary through tables: evaluate the defining formula on every
     (r+1)-tuple of total degree at most m, truncate, and extract the (l, m)
     stratum.  Those rows are the only ones the stratum's monomials consume,
-    so the partial table is exact for this read."""
+    so the partial table is exact for this read.  X is read from a table
+    built during the call, each basis tuple evaluated once."""
     r = family.arity
     rows = iter_index_tuples(r + 1, m, range(caps.max_mode))
-    partial = _tabulate(r + 1, caps, rows, lambda row: _delta_value(family, row))
+    value_of = _kernel_values(family)
+    partial = _tabulate(r + 1, caps, rows, lambda row: _delta_value(value_of, row))
     return extract_kernels(partial, stratum=(l, m))
 
 

@@ -9,7 +9,7 @@ import wickfock.hochschild as hochschild
 from wickfock.checks import rand_kernel_family
 from wickfock.errors import ComplexInconsistencyError, TruncationError
 from wickfock.expansion import extract_kernels, reconstruct
-from wickfock.fock import TruncationCaps
+from wickfock.fock import FockVector, TruncationCaps, wick_product
 from wickfock.hochschild import (
     Cochain,
     RationalMatrix,
@@ -24,7 +24,7 @@ from wickfock.hochschild import (
     table_coboundary,
 )
 from wickfock.multiindex import VACUUM, MultiIndex
-from wickfock.operators import KernelFamily, _tabulate, basis_labels
+from wickfock.operators import KernelFamily, _tabulate, apply_kernel, basis_labels
 from wickfock.scalars import ONE, ZERO, Scalar
 
 mi = MultiIndex
@@ -92,8 +92,96 @@ def test_table_coboundary_equals_full_product_table():
         r = family.arity
         full = itertools.product(basis_labels(caps), repeat=r + 1)
         assert table_coboundary(Cochain.from_kernels(family, caps)) == _tabulate(
-            r + 1, caps, full, lambda row: hochschild._delta_value(family, row)
+            r + 1, caps, full, lambda row: _delta_by_definition(family, row)
         )
+
+
+def _delta_by_definition(family, row):
+    """dX on one row of basis labels, straight from the defining formula:
+    r + 2 evaluations of X, with the outer slots Wick-multiplied on."""
+    r = family.arity
+    e = [FockVector.basis(a) for a in row]
+    total = wick_product(e[0], apply_kernel(family, e[1:]))
+    for i in range(1, r + 1):
+        merged = e[: i - 1] + [FockVector.basis(row[i - 1].concat(row[i]))] + e[i + 1 :]
+        total = total + apply_kernel(family, merged) * (-1) ** i
+    return total + wick_product(apply_kernel(family, e[:r]), e[r]) * (-1) ** (r + 1)
+
+
+def _arguments_read(rows):
+    """The label tuples the defining formula evaluates X on, over the rows."""
+    read = set()
+    for row in rows:
+        r = len(row) - 1
+        read.add(row[1:])
+        read.add(row[:r])
+        for i in range(1, r + 1):
+            read.add(row[: i - 1] + (row[i - 1].concat(row[i]),) + row[i + 1 :])
+    return read
+
+
+def _count_kernel_calls(monkeypatch):
+    """Record (entries, label tuple) for every apply_kernel call of the
+    table route; every argument there is one basis vector."""
+    calls = []
+
+    def counting(family, args):
+        labels = tuple(label for arg in args for label in arg.terms)
+        calls.append((tuple(sorted(family.terms)), labels))
+        return apply_kernel(family, args)
+
+    monkeypatch.setattr(hochschild, "apply_kernel", counting)
+    return calls
+
+
+ONE_STRATUM_FAMILIES = [
+    # arity 1, (l, m) = (1, 2), a real and a complex entry
+    KernelFamily.from_entries(
+        1,
+        [(mi([(0, 1)]), (mi([(1, 2)]),), ONE), (mi([(1, 1)]), (mi([(0, 1), (1, 1)]),), Scalar(0, 2))],
+    ),
+    # arity 2, (l, m) = (0, 2)
+    KernelFamily.from_entries(
+        2,
+        [(VACUUM, (mi([(0, 1)]), mi([(1, 1)])), ONE), (VACUUM, (mi([(1, 2)]), VACUUM), -ONE)],
+    ),
+]
+
+
+@pytest.mark.parametrize("family", ONE_STRATUM_FAMILIES, ids=["arity1", "arity2"])
+def test_table_coboundary_evaluates_each_argument_once(monkeypatch, family):
+    [(l, m)] = family.strata()
+    r = family.arity
+    caps = TruncationCaps(2, l + m + r + 1)
+    calls = _count_kernel_calls(monkeypatch)
+    table = table_coboundary(Cochain.from_kernels(family, caps))
+    budget = caps.max_degree - l + m
+    rows = [
+        row
+        for row in itertools.product(basis_labels(caps), repeat=r + 1)
+        if sum(a.degree for a in row) <= budget
+    ]
+    assert not table.is_zero()
+    assert len(calls) == len(_arguments_read(rows))
+    assert {labels for _, labels in calls} == _arguments_read(rows)
+
+
+@pytest.mark.parametrize("r, l, m", [(1, 1, 2), (2, 0, 2)])
+def test_table_route_matrix_evaluates_each_argument_once_per_column(monkeypatch, r, l, m):
+    caps = TruncationCaps(2, l + m + r + 1)
+    calls = _count_kernel_calls(monkeypatch)
+    matrix = coboundary_matrix(r, l, m, caps, route="table")
+    labels = [a for a in basis_labels(caps) if a.degree <= m]
+    rows = [
+        row
+        for row in itertools.product(labels, repeat=r + 1)
+        if sum(a.degree for a in row) <= m
+    ]
+    read = _arguments_read(rows)
+    columns = [(key,) for key in stratum_basis(r, l, m, caps)]
+    assert not matrix.is_zero()
+    assert len(calls) == len(columns) * len(read)
+    assert set(calls) == {(column, labels) for column in columns for labels in read}
 
 
 def test_table_coboundary_needs_wide_enough_caps():
