@@ -32,13 +32,17 @@ elimination on the stratum-by-stratum coboundary matrices, one block at a
 time.  Every term of the coboundary keeps an entry's creation index I and its
 annihilation content J_1 + ... + J_r (the concatenation of its slots), so each
 stratum complex is block diagonal in the pairs (I, content); an arity-0 label
-I sits in block (I, VACUUM).  The delta o delta gate, the ranks and the
-nullspaces are computed per block, and an image that leaves its block fails
-the gate as one leaving the stratum does.  The kernel route never reads I, so
-there it is the content alone that fixes a block's matrix: one block per
-content is built, gated and eliminated, and the result is relabelled onto the
-blocks of the other creation indices.  The table route builds and gates every
-block, because its independence is what cross-checks the kernel route.
+I sits in block (I, VACUUM).  A block's basis comes from its content: the
+keys (I, s), s running over the sorted r-tuples of slots that concatenate to
+the content, with no pass over the stratum.  The delta o delta gate, the
+ranks and the nullspaces are computed per block, and an image that leaves
+its block fails the gate as one leaving the stratum does.  The kernel route
+never reads I, so there it is the content alone that fixes a block's matrix:
+one block per content is built, gated and eliminated, and the result is
+relabelled onto the blocks of the other creation indices.  The table route
+builds and gates every block, because its independence is what cross-checks
+the kernel route.  The cocycles of all blocks are ordered by the key of
+their last nonzero entry, which is their order in the sorted stratum basis.
 """
 
 from __future__ import annotations
@@ -187,52 +191,30 @@ def stratum_basis(r: int, l: int, m: int, caps: TruncationCaps):
     lexicographically.  For r = 0 the elements are the basis labels of
     degree l (empty unless m == 0).
     """
-    return list(_stratum_keys(r, l, m, caps.max_mode))
-
-
-# A cohomology report reads the bases at arities r - 1, r and r + 1, once per
-# block; three cached bases (and their block groupings) let it enumerate each
-# once.
-@lru_cache(maxsize=3)
-def _stratum_keys(r: int, l: int, m: int, max_mode: int) -> tuple:
-    modes = range(max_mode)
+    modes = range(caps.max_mode)
     if r == 0:
-        return tuple(indices_of_degree(l, modes) if m == 0 else ())
+        return indices_of_degree(l, modes) if m == 0 else []
     # Pairs of a sorted creation list and a sorted slot-tuple list, creation
     # outermost, come out in sorted order: no sort over the whole basis.
     slot_tuples = sorted(
         s for s in iter_index_tuples(r, m, modes) if sum(u.degree for u in s) == m
     )
-    creations = sorted(indices_of_degree(l, modes))
-    return tuple((creation, slots) for creation in creations for slots in slot_tuples)
+    return [(creation, slots) for creation in indices_of_degree(l, modes) for slots in slot_tuples]
 
 
-def _block(key) -> tuple[MultiIndex, MultiIndex]:
-    """The (creation, content) block of a stratum basis key."""
-    if isinstance(key, MultiIndex):
-        return key, VACUUM
-    creation, slots = key
-    content = VACUUM
-    for slot in slots:
-        content = content.concat(slot)
-    return creation, content
-
-
-@lru_cache(maxsize=3)
-def _stratum_blocks(r: int, l: int, m: int, max_mode: int) -> dict:
-    """Positions in the sorted stratum basis, grouped by block, ascending."""
-    blocks: dict = {}
-    for position, key in enumerate(_stratum_keys(r, l, m, max_mode)):
-        blocks.setdefault(_block(key), []).append(position)
-    return {block: tuple(positions) for block, positions in blocks.items()}
-
-
-def _block_basis(r: int, l: int, m: int, caps: TruncationCaps, block) -> list:
-    """The stratum basis, or its keys in ``block`` in the same order."""
-    keys = _stratum_keys(r, l, m, caps.max_mode)
-    if block is None:
-        return list(keys)
-    return [keys[i] for i in _stratum_blocks(r, l, m, caps.max_mode).get(block, ())]
+@lru_cache(maxsize=1024)
+def _splits(content: MultiIndex, r: int) -> tuple:
+    """The r-tuples of slots whose concatenation is ``content``, sorted: the
+    slot tuples of block (I, content) in stratum basis order."""
+    if r == 0:
+        return ((),) if content.is_vacuum() else ()
+    return tuple(
+        sorted(
+            (left,) + rest
+            for left, right in content.decompositions()
+            for rest in _splits(right, r - 1)
+        )
+    )
 
 
 class RationalMatrix:
@@ -253,11 +235,6 @@ class RationalMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
         return cls(rows, cols, [[ZERO] * cols for _ in range(rows)])
-
-    @classmethod
-    def from_columns(cls, rows: int, columns: list[list[Scalar]]) -> "RationalMatrix":
-        entries = [[columns[j][i] for j in range(len(columns))] for i in range(rows)]
-        return cls(rows, len(columns), entries)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -370,33 +347,43 @@ def coboundary_matrix(
 
     With ``block=(creation, content)`` the domain and codomain are only that
     block's basis keys, in the same order; an image entry outside them raises
-    ComplexInconsistencyError, as one outside the stratum does.
+    ComplexInconsistencyError, as one outside the stratum does.  A block
+    outside the (l, m) stratum on the window's modes raises ValueError.
     """
     _check_caps(r, l, m, caps)
-    domain = _block_basis(r, l, m, caps, block)
-    codomain = _block_basis(r + 1, l, m, caps, block)
-    where = f"(l, m) = ({l}, {m}) stratum" if block is None else f"block {block}"
+    if block is None:
+        domain = stratum_basis(r, l, m, caps)
+        codomain = stratum_basis(r + 1, l, m, caps)
+    else:
+        creation, content = block
+        if (creation.degree, content.degree) != (l, m) or any(
+            mode >= caps.max_mode for mode, _ in creation.pairs + content.pairs
+        ):
+            raise ValueError(
+                f"block {block} is not in the (l, m) = ({l}, {m}) stratum "
+                f"on {caps.max_mode} modes"
+            )
+        domain = [(creation, slots) for slots in _splits(content, r)]
+        codomain = [(creation, slots) for slots in _splits(content, r + 1)]
+    if r == 0:  # the coboundary of an algebra element vanishes
+        return RationalMatrix.zeros(len(codomain), len(domain))
     index = {key: i for i, key in enumerate(codomain)}
-    columns: list[list[Scalar]] = []
-    for key in domain:
-        column = [ZERO] * len(codomain)
-        if r > 0:
-            creation, slots = key
-            family = KernelFamily.single(r, creation, slots)
-            if route == "kernel":
-                image = kernel_coboundary(family)
-            elif route == "table":
-                image = _table_route_delta(family, caps, l, m)
-            else:
-                raise ValueError(f"unknown route {route!r}")
-            for entry, coeff in image.terms.items():
-                if entry not in index:
-                    raise ComplexInconsistencyError(
-                        f"coboundary left the {where} at {entry}"
-                    )
-                column[index[entry]] = coeff
-        columns.append(column)
-    return RationalMatrix.from_columns(len(codomain), columns)
+    rows = [[ZERO] * len(domain) for _ in codomain]
+    for j, (creation, slots) in enumerate(domain):
+        family = KernelFamily.single(r, creation, slots)
+        if route == "kernel":
+            image = kernel_coboundary(family)
+        elif route == "table":
+            image = _table_route_delta(family, caps, l, m)
+        else:
+            raise ValueError(f"unknown route {route!r}")
+        for entry, coeff in image.terms.items():
+            i = index.get(entry)
+            if i is None:
+                where = f"(l, m) = ({l}, {m}) stratum" if block is None else f"block {block}"
+                raise ComplexInconsistencyError(f"coboundary left the {where} at {entry}")
+            rows[i][j] = coeff
+    return RationalMatrix(len(codomain), len(domain), rows)
 
 
 def cohomology_report(
@@ -405,52 +392,50 @@ def cohomology_report(
     """Exact (dim ker, dim im, dim H) of the stratum complex at arity r,
     together with a basis of cocycles; gated on delta . delta == 0.
 
-    Runs block by block.  Each block's nullspace vectors are in reduced row
-    echelon form, and so equal those of the whole block-diagonal matrix; the
-    cocycles are ordered by their free column's position in the stratum,
-    which is each vector's last nonzero position.
+    Runs block by block; block (I, content) has the keys (I, s), s running
+    over the slot tuples whose concatenation is the content, in basis order.
+    Each block's nullspace vectors are in reduced row echelon form, and so
+    equal those of the whole block-diagonal matrix; the cocycles are ordered
+    by the key of each vector's last nonzero entry, its free column.
 
     The keys of the blocks of one content differ only in I, in the same
     order, so on the kernel route the first block of each content is solved
-    and its rank and nullspace are relabelled onto the positions of the
-    others; the table route solves every block.
+    and its rank and nullspace are relabelled onto the keys of the others;
+    the table route solves every block.  delta^0 = 0, so at r = 0 every
+    element is a cocycle and none is listed.
     """
     _check_caps(r, l, m, caps)
-    blocks = _stratum_blocks(r, l, m, caps.max_mode)
-    previous_blocks = _stratum_blocks(r - 1, l, m, caps.max_mode) if r else {}
+    if r == 0:
+        dim = len(stratum_basis(0, l, m, caps))
+        return {"dim_ker": dim, "dim_im_prev": 0, "dim_H": dim, "cocycles": []}
+    modes = range(caps.max_mode)
     solved: dict = {}
     rank_prev = 0
-    supports = []
-    for block in dict.fromkeys([*previous_blocks, *blocks]):
-        shared = block[1] if route == "kernel" else block
-        if shared not in solved:
-            matrix = coboundary_matrix(r, l, m, caps, route, block)
-            block_rank_prev = 0
-            if r:
+    cocycles = []
+    for creation in indices_of_degree(l, modes):
+        for content in indices_of_degree(m, modes):
+            block = creation, content
+            shared = content if route == "kernel" else block
+            if shared not in solved:
+                matrix = coboundary_matrix(r, l, m, caps, route, block)
                 previous = coboundary_matrix(r - 1, l, m, caps, route, block)
                 if not matrix.matmul(previous).is_zero():
                     raise ComplexInconsistencyError(
                         f"delta o delta != 0 at (r, l, m) = ({r}, {l}, {m}) in block {block}"
                     )
-                block_rank_prev = rank_nullspace(previous)[0]
-            solved[shared] = block_rank_prev, rank_nullspace(matrix)[1]
-        block_rank_prev, null_vectors = solved[shared]
-        rank_prev += block_rank_prev
-        positions = blocks.get(block, ())
-        for vector in null_vectors:
-            supports.append([(positions[j], coeff) for j, coeff in enumerate(vector) if coeff])
-    supports.sort(key=lambda support: support[-1][0])
-    basis_keys = stratum_basis(r, l, m, caps)
-    cocycles = []
-    if r >= 1:
-        for support in supports:
-            cocycles.append(KernelFamily(r, [(basis_keys[p], c) for p, c in support]))
+                solved[shared] = rank_nullspace(previous)[0], rank_nullspace(matrix)[1]
+            block_rank_prev, null_vectors = solved[shared]
+            rank_prev += block_rank_prev
+            slots = _splits(content, r)
+            for vector in null_vectors:
+                support = [((creation, slots[j]), c) for j, c in enumerate(vector) if c]
+                cocycles.append((support[-1][0], KernelFamily(r, support)))
+    cocycles.sort(key=lambda pair: pair[0])
     return {
-        "dim_ker": len(supports),
+        "dim_ker": len(cocycles),
         "dim_im_prev": rank_prev,
-        "dim_H": len(supports) - rank_prev,
-        "cocycles": cocycles,
-        "basis": basis_keys,
+        "dim_H": len(cocycles) - rank_prev,
+        "cocycles": [family for _, family in cocycles],
     }
 
 

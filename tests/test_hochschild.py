@@ -23,7 +23,7 @@ from wickfock.hochschild import (
     stratum_basis,
     table_coboundary,
 )
-from wickfock.multiindex import VACUUM, MultiIndex
+from wickfock.multiindex import VACUUM, MultiIndex, indices_of_degree
 from wickfock.operators import KernelFamily, _tabulate, apply_kernel, basis_labels
 from wickfock.scalars import ONE, ZERO, Scalar
 
@@ -338,6 +338,27 @@ def test_cohomology_dims_equal_hkr_closed_form():
     assert dims[3, 2, 3, 3] == (282, 276, 6)
 
 
+def _block_of(key):
+    """The (creation, content) block of a stratum basis key: its creation
+    index and the concatenation of its slots; an arity-0 label I is in
+    block (I, VACUUM)."""
+    if isinstance(key, MultiIndex):
+        return key, VACUUM
+    creation, slots = key
+    content = VACUUM
+    for slot in slots:
+        content = content.concat(slot)
+    return creation, content
+
+
+def _block_positions(basis):
+    """Positions in a stratum basis, grouped by block, ascending."""
+    blocks = {}
+    for position, key in enumerate(basis):
+        blocks.setdefault(_block_of(key), []).append(position)
+    return blocks
+
+
 def test_block_report_matches_dense_elimination():
     """The block-by-block report equals elimination on the whole stratum
     matrix, cocycle for cocycle, and each block matrix is the whole matrix
@@ -356,17 +377,64 @@ def test_block_report_matches_dense_elimination():
                 for vector in null_basis
             ]
             codomain = stratum_basis(r + 1, l, m, caps)
-            blocks = hochschild._stratum_blocks(r, l, m, caps.max_mode)
+            blocks = _block_positions(stratum_basis(r, l, m, caps))
             for route in ("kernel", "table"):
                 report = cohomology_report(r, l, m, caps, route=route)
                 assert (report["dim_ker"], report["dim_im_prev"]) == (len(null_basis), rank_prev)
                 assert report["cocycles"] == expected
                 for block, columns in blocks.items():
                     rows = [codomain.index(key) for key in codomain
-                            if hochschild._block(key) == block]
+                            if _block_of(key) == block]
                     assert coboundary_matrix(r, l, m, caps, route, block=block).entries == [
                         [dense.entries[i][j] for j in columns] for i in rows
                     ]
+
+
+def test_block_keys_are_the_stratum_basis_grouped_by_content():
+    """The keys of block (I, content), enumerated from the content alone, are
+    the stratum basis keys with creation index I whose slots concatenate to
+    the content, in basis order; no other block has keys."""
+    for modes, r, l, m in itertools.product((1, 2, 3), range(5), range(3), range(5)):
+        caps = TruncationCaps(modes, l + m + r + 1)
+        basis = stratum_basis(r, l, m, caps)
+        expected = {
+            block: [basis[p] for p in positions]
+            for block, positions in _block_positions(basis).items()
+        }
+        found = {}
+        for creation in indices_of_degree(l, range(modes)):
+            for content in indices_of_degree(m, range(modes)):
+                keys = [
+                    (creation, slots) if r else creation
+                    for slots in hochschild._splits(content, r)
+                ]
+                if keys:
+                    found[creation, content] = keys
+        assert found == expected, (modes, r, l, m)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        (mi([(0, 2)]), mi([(1, 1)])),  # degree of I is not l
+        (mi([(0, 1)]), mi([(1, 2)])),  # degree of the content is not m
+        (mi([(2, 1)]), mi([(1, 1)])),  # creation mode outside the window
+        (mi([(0, 1)]), mi([(2, 1)])),  # content mode outside the window
+    ],
+)
+def test_coboundary_matrix_refuses_a_block_outside_the_stratum(block):
+    caps = TruncationCaps(2, 4)
+    for r in (0, 1):
+        for route in ("kernel", "table"):
+            with pytest.raises(ValueError, match="not in the"):
+                coboundary_matrix(r, 1, 1, caps, route, block=block)
+
+
+def test_arity_zero_block_of_a_nonvacuum_content_has_no_columns():
+    # the r = 1 report eliminates this matrix as the incoming coboundary
+    caps = TruncationCaps(2, 4)
+    matrix = coboundary_matrix(0, 1, 1, caps, block=(mi([(0, 1)]), mi([(1, 1)])))
+    assert (matrix.rows, matrix.cols) == (1, 0)
 
 
 SMALL_STRATA = list(itertools.product((2, 3), (1, 2), (1, 2), (1, 2)))  # modes, r, l, m
@@ -377,7 +445,7 @@ def test_kernel_route_block_matrices_of_one_content_are_equal_for_every_creation
         caps = TruncationCaps(modes, l + m + r + 1)
         for arity in (r - 1, r):
             by_content = {}
-            for creation, content in hochschild._stratum_blocks(arity, l, m, modes):
+            for creation, content in _block_positions(stratum_basis(arity, l, m, caps)):
                 by_content.setdefault(content, []).append(
                     coboundary_matrix(arity, l, m, caps, block=(creation, content))
                 )
@@ -400,10 +468,11 @@ def test_report_builds_one_block_per_content_on_the_kernel_route_only(monkeypatc
     monkeypatch.setattr(hochschild, "coboundary_matrix", counted)
     for modes, r, l, m in SMALL_STRATA:
         built.clear()
-        cohomology_report(r, l, m, TruncationCaps(modes, l + m + r + 1), route=route)
+        caps = TruncationCaps(modes, l + m + r + 1)
+        cohomology_report(r, l, m, caps, route=route)
         blocks = dict.fromkeys([
-            *hochschild._stratum_blocks(r - 1, l, m, modes),
-            *hochschild._stratum_blocks(r, l, m, modes),
+            *_block_positions(stratum_basis(r - 1, l, m, caps)),
+            *_block_positions(stratum_basis(r, l, m, caps)),
         ])
         contents = {content for _, content in blocks}
         assert len(blocks) > len(contents)
