@@ -3,14 +3,18 @@
 All values travel as JSON with rationals rendered as strings "p/q" (or "p"),
 so nothing is ever rounded.  Output on stdout is canonical: terms, blocks,
 and rows are emitted in sorted order, and rerunning a command with the same
-inputs produces byte-identical bytes.  Exit codes: 0 success, 1 check-suite
-failure, 2 malformed input or usage error.
+inputs produces byte-identical bytes.  Every command prints through one
+writer, ``_write_json``, whose text is exactly ``json.dumps(obj, indent=2)``;
+``_emit`` writes it one piece per element of the top-level values, then a
+newline, then flushes.  Exit codes: 0 success, 1 check-suite failure, 2
+malformed input or usage error.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -44,7 +48,9 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad UTF-8, bad JSON and integer literals past the
+    # interpreter's digit limit; RecursionError covers very deep nesting.
+    except (OSError, ValueError, RecursionError) as exc:
         _fail(f"cannot read {path}: {exc}")
 
 
@@ -56,8 +62,84 @@ def _parse(path: str, parser, what: str):
         _fail(f"{path} is not a valid {what}: {exc}")
 
 
+def _json_key(key) -> str:
+    # A non-string key is converted as json converts it.
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_json(obj, write) -> None:
+    """Pass the text of ``json.dumps(obj, indent=2)`` to ``write``, in pieces.
+
+    The pieces concatenate to exactly that text (ASCII escapes, ``","`` and
+    ``": "`` separators, insertion order); a piece ends after each element of
+    each top-level value, so no string holds the whole output.  json's own
+    encoder takes its slow pure-Python path whenever ``indent`` is set; this
+    one renders each list of plain ints once per (values, indent) for the call,
+    since multi-index pairs such as ``[0, 2]`` repeat throughout a basis.
+    """
+    memo: dict = {}
+    out: list = []
+    append = out.append
+
+    def render(o, nl: str, depth: int) -> None:
+        if isinstance(o, str):
+            append(encode_basestring_ascii(o))
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for key, value in o.items():
+                if key.__class__ is not str:
+                    key = _json_key(key)
+                append(sep + encode_basestring_ascii(key) + ": ")
+                render(value, inner, depth + 1)
+                if depth < 2:
+                    flush()
+                sep = "," + inner
+            append(nl + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+            # bool is an int subclass, but renders as true/false.
+            elif type(o[0]) is int and all(type(x) is int for x in o):
+                key = (tuple(o), nl)
+                text = memo.get(key)
+                if text is None:
+                    inner = nl + "  "
+                    text = "[" + inner + ("," + inner).join(map(json.dumps, o)) + nl + "]"
+                    memo[key] = text
+                append(text)
+            else:
+                inner = nl + "  "
+                sep = "[" + inner
+                for value in o:
+                    append(sep)
+                    render(value, inner, depth + 1)
+                    if depth < 2:
+                        flush()
+                    sep = "," + inner
+                append(nl + "]")
+        else:
+            append(json.dumps(o))
+
+    def flush() -> None:
+        write("".join(out))
+        out.clear()
+
+    render(obj, "\n", 0)
+    flush()
+
+
 def _emit(obj):
-    click.echo(json.dumps(obj, indent=2), file=sys.stdout)
+    _write_json(obj, sys.stdout.write)
+    sys.stdout.write("\n")
+    sys.stdout.flush()
 
 
 def _caps_from_flags(max_mode, max_degree) -> TruncationCaps:

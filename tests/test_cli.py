@@ -6,9 +6,11 @@ from decimal import Decimal
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 import wickfock.operators
-from wickfock.cli import main
+from wickfock.cli import _write_json, main
 from wickfock.fock import (
     FockVector,
     TestVector,
@@ -65,6 +67,22 @@ def test_wick_command_rejects_malformed_json(tmp_path, runner):
     wrong_shape = write_json(tmp_path, "shape.json", {"coeffs": []})
     result = runner.invoke(main, ["wick", wrong_shape, good])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000, b'{"terms": [{"index": [[0, ' + b"9" * 5000 + b']], "re": "1"}]}'],
+    ids=["not-utf8", "nested-100000-deep", "integer-5000-digits"],
+)
+def test_unreadable_json_exits_2_without_traceback(tmp_path, runner, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    good = write_json(tmp_path, "good.json", FockVector.vacuum().to_json())
+    result = runner.invoke(main, ["wick", str(bad), good])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: cannot read {bad}: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_coherent_command(tmp_path, runner):
@@ -302,3 +320,56 @@ def test_repeated_runs_release_their_output_streams(runner):
         assert runner.invoke(main, good).exit_code == 0
         assert runner.invoke(main, bad).exit_code == 2
     assert live_buffers() <= before
+
+
+def _written(obj) -> str:
+    pieces = []
+    _write_json(obj, pieces.append)
+    return "".join(pieces)
+
+
+_tricky_text = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001d11e'))
+_json_leaves = st.none() | st.booleans() | st.integers() | _tricky_text
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(_tricky_text, kids),
+    max_leaves=40,
+)
+
+
+@given(_json_trees)
+def test_writer_matches_json_dumps_indent_2(obj):
+    assert _written(obj) == json.dumps(obj, indent=2)
+
+
+@given(st.lists(st.integers(), min_size=1), _json_trees)
+def test_writer_renders_a_repeated_int_list_at_each_depth(ints, tree):
+    # The memo is keyed by values and indent: the same list at another
+    # depth, or an equal-comparing list holding bools, must not reuse it.
+    obj = [ints, {"a": [ints, [ints, tree]], "b": [1, *ints], "c": [True, *ints]}, [], {}, ints]
+    assert _written(obj) == json.dumps(obj, indent=2)
+
+
+@given(
+    st.dictionaries(
+        st.integers() | st.floats() | st.booleans() | st.none() | st.tuples(st.integers()) | st.text(),
+        _json_leaves,
+    )
+)
+def test_writer_handles_non_string_keys_as_json_does(obj):
+    try:
+        expected = json.dumps(obj, indent=2)
+    except TypeError as exc:
+        with pytest.raises(TypeError) as raised:
+            _written(obj)
+        assert str(raised.value) == str(exc)
+    else:
+        assert _written(obj) == expected
+
+
+def test_writer_pieces_hold_one_element_of_a_top_level_value():
+    obj = {"n": 3, "items": [{"x": [0, 1]}, {"x": [0, 2]}, {"x": [0, 3]}]}
+    pieces = []
+    _write_json(obj, pieces.append)
+    assert "".join(pieces) == json.dumps(obj, indent=2)
+    assert max(piece.count('"x"') for piece in pieces) == 1

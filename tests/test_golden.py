@@ -6,6 +6,9 @@ cases pin how every reader normalizes as well as what each command prints.
 The expected bytes live in ``golden/<case>.out``.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from click.testing import CliRunner
 from wickfock.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _in(name: str) -> str:
@@ -77,3 +81,17 @@ def test_cli_stdout_matches_golden(case):
     result = CliRunner().invoke(main, CASES[case])
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == (GOLDEN / f"{case}.out").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["cohomology_kernel_r4", "check_all", "wick"])
+def test_module_entry_point_stdout_matches_golden(case):
+    """A real process: catches flush and encoding faults that CliRunner hides."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wickfock.cli", *CASES[case]],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert proc.stdout == (GOLDEN / f"{case}.out").read_bytes()
