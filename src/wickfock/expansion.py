@@ -15,11 +15,11 @@ and output degree at most max_degree), the window is downward closed under
 dividing exponents, and dividing out the coupling exponential only consumes
 coefficients at componentwise-smaller exponents.  Every entry read inside the
 window is therefore exact, and ``extract_kernels`` reads nothing outside it:
-the product with the inverse series is formed on the window only, so no
-entry has a creation or slot degree above caps.max_degree (which is why the
-``expand`` command marks every block ``"reliable": true``).  The same holds
-on every smaller window of this shape, so reading one stratum divides out the
-exponential only on the smallest window that holds its monomials.
+the division by the exponential series is carried out on the window only, so
+no entry has a creation or slot degree above caps.max_degree (which is why
+the ``expand`` command marks every block ``"reliable": true``).  The same
+holds on every smaller window of this shape, so reading one stratum divides
+out the exponential only on the smallest window that holds its monomials.
 """
 
 from __future__ import annotations

@@ -317,6 +317,9 @@ class BasisActionTable:
             )
             for row in data["rows"]
         }
+        for index in (i for value in action.values() for i in value.terms):
+            if not caps.admits(index):
+                raise TruncationError(f"value term {index!r} outside caps {caps}")
         return cls(_json_int(data["arity"]), caps, action)
 
 
@@ -345,19 +348,36 @@ def _window_rows(arity: int, caps: TruncationCaps, family: KernelFamily) -> Iter
     return iter_index_tuples(arity, budget, range(caps.max_mode), caps.max_degree)
 
 
-def table_from_kernel(family: KernelFamily, caps: TruncationCaps) -> BasisActionTable:
-    """Tabulate a kernel family on the window rows it can reach.
+def _reachable_rows(family: KernelFamily, caps: TruncationCaps) -> dict:
+    """The rows ``table_from_kernel`` evaluates (see there), each once."""
+    rows: dict[tuple[MultiIndex, ...], None] = {}
+    labels = {label: label for label in basis_labels(caps)}  # rows share label objects
+    for creation, annihilations in family.terms:
+        if not caps.admits(creation):
+            continue
+        budget = caps.max_degree - creation.degree
+        room = caps.max_degree - min(j.degree for j in annihilations)
+        for ks in iter_index_tuples(family.arity, budget, range(caps.max_mode), room):
+            row = tuple(map(labels.get, map(MultiIndex.concat, annihilations, ks)))
+            if all(row):  # None for a label outside the caps
+                rows[row] = None
+    return rows
 
-    An entry of stratum (l, m) sends a row of total degree D to degree
-    D - m + l, so a row with D - m + l > max_degree for every stratum
-    truncates to zero; only the other rows are evaluated (``_window_rows``).
-    Values are truncated to the caps, so for in-window arguments
+
+def table_from_kernel(family: KernelFamily, caps: TruncationCaps) -> BasisActionTable:
+    """Tabulate a kernel family on the rows it reaches.
+
+    An entry (I, (J_1, ..., J_r)) is nonzero on a row only when each label
+    is A_j = J_j + K_j, and its value e_{I + K_1 + ... + K_r} survives the
+    caps only when I is in them and the K_j have total degree at most
+    max_degree - degree(I).  Only those rows are evaluated, and the values are
+    truncated to the caps, so for in-window arguments
     ``apply_table(table, args) == truncate(apply_kernel(family, args), caps)``.
     """
     return _tabulate(
         family.arity,
         caps,
-        _window_rows(family.arity, caps, family),
+        _reachable_rows(family, caps),
         lambda row: apply_kernel(family, [FockVector.basis(a) for a in row]),
     )
 

@@ -10,16 +10,15 @@ slot-tuple of exponent indices plus one output exponent index.  A
 :class:`SymbolPolynomial` takes its sums and scalar multiples from
 ``fock._SparseMap``; a product with another polynomial is ``mul``.
 
-The reduced symbol divides out the coupling factor
-``prod_j exp(sum_i x_i^(j) y_i)``, handled here as a truncated power series
-with exact rational coefficients.  For a table whose rows and stored values
-respect its caps, the product with the truncated inverse series is exact on
-every monomial in the closed window (per-slot degree and output degree at
-most max_degree): reading a monomial only ever consumes coefficients at
-componentwise-smaller exponents, and the window is downward closed.  The
-same argument makes the product exact on any smaller window, so a caller that
-reads only low-degree monomials passes that window and nothing outside it is
-ever formed; a window wider than the polynomial's own is refused.
+The reduced symbol divides by the coupling factor
+``prod_j exp(sum_i x_i^(j) y_i)``, a truncated power series with exact
+rational coefficients.  For a table whose rows and stored values respect its
+caps, the quotient is exact on every monomial in the closed window (per-slot
+degree and output degree at most max_degree): reading a monomial only ever
+consumes coefficients at componentwise-smaller exponents, and the window is
+downward closed.  The same argument makes it exact on any smaller window, so
+a caller that reads only low-degree monomials passes that window and nothing
+outside it is ever formed; a window wider than the polynomial's own is refused.
 """
 
 from __future__ import annotations
@@ -113,34 +112,17 @@ class SymbolPolynomial(_SparseMap):
         """Exact product; with ``region``, monomials outside it are dropped.
 
         The region bounds each slot degree and the output degree by
-        region.max_degree; ``None`` bounds nothing.  Degrees add under
-        multiplication, so a pair is compared against the bound before its
-        product is formed: the right-hand terms are visited in ascending
-        output degree and the scan stops at the first that overshoots.
-        Dropping out-of-region products never disturbs in-region coefficients
-        because exponents only grow.
+        region.max_degree; ``None`` bounds nothing.  Out-of-region pairs are
+        never multiplied (``_products``), and dropping them never disturbs
+        in-region coefficients because exponents only grow.
         """
         if other.arity != self.arity:
             raise ArityError("cannot multiply polynomials of different arity")
         bound = region.max_degree if region is not None else math.inf
-        right = sorted(
-            (
-                (eta.degree, [u.degree for u in slots], slots, eta, coeff)
-                for (slots, eta), coeff in other.terms.items()
-            ),
-            key=lambda term: term[0],
-        )
         acc: dict[TermKey, Scalar] = {}
-        for (slots_a, eta_a), ca in self.terms.items():
-            room = bound - eta_a.degree
-            room_slots = [bound - u.degree for u in slots_a]
-            for eta_degree, slot_degrees, slots_b, eta_b, cb in right:
-                if eta_degree > room:
-                    break
-                if any(d > free for d, free in zip(slot_degrees, room_slots)):
-                    continue
-                slots = tuple(u.concat(v) for u, v in zip(slots_a, slots_b))
-                _add_term(acc, (slots, eta_a.concat(eta_b)), ca * cb)
+        right = sorted(other.terms.items(), key=_output_degree)
+        for key, value in _products(self.terms.items(), right, bound):
+            _add_term(acc, key, value)
         return SymbolPolynomial._raw(self.arity, acc, region or self.caps or other.caps)
 
     def __mul__(self, other):
@@ -191,6 +173,28 @@ class SymbolPolynomial(_SparseMap):
             key = (slots, MultiIndex.from_json(term["eta"]))
             _add_term(terms, key, Scalar.from_json_fields(term))
         return cls(_json_int(data["arity"]), terms)
+
+
+def _output_degree(term) -> int:
+    return term[0][1].degree
+
+
+def _products(left, right: list, bound):
+    """(key, coefficient) of each product of a ``left`` and a ``right`` term
+    whose slot and output degrees all fit ``bound``.  Degrees add, so the
+    right terms, sorted by output degree, are visited until one overshoots.
+    ``left`` is read one term at a time, after the products of the term
+    before, so a caller may add products into terms it has yet to read."""
+    for (slots_a, eta_a), ca in left:
+        room = bound - eta_a.degree
+        room_slots = [bound - u.degree for u in slots_a]
+        for (slots_b, eta_b), cb in right:
+            if eta_b.degree > room:
+                break
+            if any(v.degree > free for v, free in zip(slots_b, room_slots)):
+                continue
+            slots = tuple(u.concat(v) for u, v in zip(slots_a, slots_b))
+            yield (slots, eta_a.concat(eta_b)), ca * cb
 
 
 def symbol_numeric(
@@ -268,6 +272,12 @@ def reduced_symbol(
 ) -> SymbolPolynomial:
     """Divide out the coupling exponential, truncated to the window.
 
+    Sparse triangular division by E = ``exp_bracket_poly(arity, caps)``, 1
+    plus terms that raise the output degree: level by level upward, what is
+    left of a level is quotient, and its products with E - 1 leave the levels
+    above.  It equals ``poly.mul(exp_bracket_poly(..., negate=True), caps)``
+    at a cost of |quotient| x |E|.
+
     ``caps`` defaults to the caps the polynomial was built with.  For
     polynomials of tables generated by a kernel family inside the window,
     the result equals the family's monomial data on the whole closed window.
@@ -282,4 +292,14 @@ def reduced_symbol(
     caps = caps or poly.caps
     if caps is None:
         raise ValueError("reduced_symbol needs caps (none stored on the polynomial)")
-    return poly.mul(exp_bracket_poly(poly.arity, caps, negate=True), region=caps)
+    bound = caps.max_degree
+    levels: list[dict[TermKey, Scalar]] = [{} for _ in range(bound + 1)]
+    for (slots, eta), coeff in poly.terms.items():
+        if eta.degree <= bound and all(u.degree <= bound for u in slots):
+            levels[eta.degree][(slots, eta)] = coeff
+    # the constant term 1 is the only one of output degree 0, so it sorts first
+    tail = sorted(exp_bracket_poly(poly.arity, caps).terms.items(), key=_output_degree)[1:]
+    quotient = (term for level in levels for term in level.items())
+    for key, value in _products(quotient, tail, bound):
+        _add_term(levels[key[1].degree], key, -value)
+    return SymbolPolynomial._raw(poly.arity, dict(kv for lv in levels for kv in lv.items()), caps)

@@ -160,6 +160,21 @@ def test_expand_command_round_trip(tmp_path, runner):
     assert all(block["reliable"] is True for block in payload["blocks"])
 
 
+@pytest.mark.parametrize("value", [[[5, 1]], [[0, 3]]], ids=["mode-5", "degree-3"])
+def test_table_value_outside_caps_exits_2(tmp_path, runner, value):
+    # A value term beyond the caps would come back as kernel entries that
+    # the window cannot determine, each marked reliable.
+    table = {
+        "arity": 1,
+        "caps": {"max_mode": 2, "max_degree": 2},
+        "rows": [{"args": [[[0, 1]]], "value": {"terms": [{"index": value, "re": "1"}]}}],
+    }
+    result = runner.invoke(main, ["expand", write_json(tmp_path, "table.json", table)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "outside caps" in result.stderr
+
+
 def test_delta_command(tmp_path, runner):
     identity = KernelFamily.single(1, VACUUM, (VACUUM,))
     op = write_json(tmp_path, "id.json", identity.to_json())

@@ -15,11 +15,13 @@ from wickfock.fock import (
     truncate,
     wick_product,
 )
-from wickfock.multiindex import VACUUM, MultiIndex, indices_up_to
+from wickfock import operators
+from wickfock.multiindex import VACUUM, MultiIndex, binomial_product, indices_up_to
 from wickfock.operators import (
     BasisActionTable,
     KernelFamily,
     _tabulate,
+    _window_rows,
     apply_annihilation,
     apply_creation,
     apply_kernel,
@@ -176,10 +178,7 @@ def test_table_from_kernel_hand_values():
         assert identity.value((label,)) == e(label)
 
 
-def test_table_from_kernel_equals_full_product_table():
-    """table_from_kernel visits only the rows within the degree budget; the
-    rows it skips must truncate to zero, so its table equals the one
-    tabulated on every tuple of window labels."""
+def _tabulation_cases():
     cases = [
         # a_0 a_0 (m > l): the budget 4 exceeds max_degree 2
         (KernelFamily.single(1, VACUUM, (mi([(0, 2)]),)), TruncationCaps(1, 2)),
@@ -195,12 +194,75 @@ def test_table_from_kernel_equals_full_product_table():
         arity = rng.randint(1, 3)
         caps = TruncationCaps(rng.randint(0, 3), rng.randint(0, 4 - arity))
         cases.append((rand_kernel_family(rng, arity, 3, 4), caps))
-    assert table_from_kernel(*cases[3]).is_zero()
+    return cases
+
+
+def _assert_equals_full_product_table(cases):
     for family, caps in cases:
         full = product(basis_labels(caps), repeat=family.arity)
         assert table_from_kernel(family, caps) == _tabulate(
             family.arity, caps, full, lambda row: apply_kernel(family, [e(a) for a in row])
         )
+
+
+def test_table_from_kernel_equals_full_product_table():
+    """table_from_kernel visits only the rows the family reaches; the rows
+    it skips must be zero, so its table equals the one tabulated on every
+    tuple of window labels."""
+    cases = _tabulation_cases()
+    assert table_from_kernel(*cases[3]).is_zero()
+    _assert_equals_full_product_table(cases)
+
+
+@pytest.mark.parametrize(
+    "hook, broken",
+    [("_annihilation_coefficient", lambda m: 1), ("_creation_coefficient", lambda m: m + 2)],
+    ids=["annihilation-1", "creation-m-plus-2"],
+)
+def test_reachable_rows_hold_under_broken_ladder_constants(monkeypatch, hook, broken):
+    """Which rows a family reaches follows from the index patterns alone, so
+    skipping the others stays exact when the ladder constants are wrong."""
+    cases = _tabulation_cases()
+    clean = [table_from_kernel(*case) for case in cases]
+    monkeypatch.setattr(operators, hook, broken)
+    assert any(table_from_kernel(*case) != table for case, table in zip(cases, clean))
+    _assert_equals_full_product_table(cases)
+
+
+def _reaches(family, caps, row):
+    """Some entry (I, J) with I and each J_j in the caps has J_j <= A_j
+    componentwise and degree(I) + sum(degree(A_j - J_j)) <= max_degree."""
+    return any(
+        caps.admits(i)
+        and all(caps.admits(j) and binomial_product(a, j) for a, j in zip(row, js))
+        and i.degree + sum(a.degree - j.degree for a, j in zip(row, js)) <= caps.max_degree
+        for i, js in family.terms
+    )
+
+
+def test_table_from_kernel_evaluates_each_reachable_row_once(monkeypatch):
+    calls = []
+
+    def counting(family, args):
+        calls.append(tuple(label for arg in args for label in arg.terms))
+        return apply_kernel(family, args)
+
+    monkeypatch.setattr(operators, "apply_kernel", counting)
+    rng = Random(67)
+    for trial in range(60):
+        arity = rng.randint(1, 3)
+        caps = TruncationCaps(rng.randint(1, 3), rng.randint(1, 4 - arity))
+        entries = 1 if trial % 2 else 3
+        family = rand_kernel_family(rng, arity, 3, 4, max_entries=entries)
+        calls.clear()
+        table = table_from_kernel(family, caps)
+        window = list(product(basis_labels(caps), repeat=arity))
+        reached = {row for row in window if _reaches(family, caps, row)}
+        assert len(calls) == len(set(calls)) == len(reached)
+        assert set(calls) == reached
+        assert len(calls) <= len(list(_window_rows(arity, caps, family)))
+        if len(family.terms) == 1:  # one entry cannot cancel
+            assert len(calls) == len(table.action)
 
 
 def test_table_matches_kernel_with_truncation():

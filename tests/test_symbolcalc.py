@@ -178,6 +178,39 @@ def test_reduced_symbol_recovers_kernel_monomials():
         assert reduced_symbol(symbol_poly(table)) == expected
 
 
+def test_reduced_symbol_divides_by_the_exponential_on_any_polynomial():
+    """The sparse division equals the product with the truncated inverse
+    series, and multiplying back gives the polynomial's in-region part, on
+    polynomials that no kernel produced: terms past the window in a slot or
+    on the output side, modes at and above max_mode, windows narrower than
+    the terms, and polynomials that are partly a multiple of the series."""
+    rng = Random(139)
+
+    def rand_index():
+        return mi({rng.randrange(4): rng.randint(0, 2), rng.randrange(4): rng.randint(0, 2)})
+
+    outside = multiple = 0
+    for _ in range(60):
+        arity = rng.randint(1, 3)
+        caps = TruncationCaps(rng.randint(1, 3), rng.randint(0, 5 - arity))
+        terms = {
+            (tuple(rand_index() for _ in range(arity)), rand_index()): rand_scalar(rng)
+            for _ in range(rng.randint(0, 6))
+        }
+        p = SymbolPolynomial(arity, terms)
+        if rng.random() < 0.5:
+            p = p + p.mul(exp_bracket_poly(arity, caps), region=caps)
+            multiple += 1
+        outside += any(not _in_region(k, caps) for k in p.terms)
+        quotient = reduced_symbol(p, caps)
+        assert quotient == p.mul(exp_bracket_poly(arity, caps, negate=True), region=caps)
+        in_region = {k: c for k, c in p.terms.items() if _in_region(k, caps)}
+        assert quotient.mul(exp_bracket_poly(arity, caps), region=caps) == SymbolPolynomial(
+            arity, in_region
+        )
+    assert outside > 10 and multiple > 10
+
+
 def test_wick_cochain_symbol_is_truncated_exponential():
     caps = TruncationCaps(2, 3)
     wick_table = table_from_kernel(
