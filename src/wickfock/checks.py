@@ -10,7 +10,7 @@ checks can fail).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from random import Random
 
@@ -59,14 +59,7 @@ class CheckFailure:
     got: str
 
     def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "seed": self.seed,
-            "case": self.case,
-            "inputs": self.inputs,
-            "expected": self.expected,
-            "got": self.got,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -165,9 +165,6 @@ class FockVector(_SparseMap):
     def max_degree(self) -> int:
         return max((i.degree for i in self.terms), default=0)
 
-    def support(self) -> list[MultiIndex]:
-        return sorted(self.terms)
-
     def component(self, degree: int) -> "FockVector":
         """The homogeneous part of the given degree."""
         return FockVector._raw(

@@ -21,6 +21,8 @@ Two realizations are provided and must agree:
   the same tuples of basis labels, so X is read from a table of its values
   that lives for one coboundary call, each tuple evaluated once through
   ``apply_kernel``, and the r + 2 terms of a row are added into one map.
+  ``_delta_table`` is that tabulator, for the window (``table_coboundary``)
+  and for the rows a stratum matrix reads (``_table_route_delta``).
 
 Zero-cochains are algebra elements; the algebra is commutative, so their
 coboundary (the commutator cochain) vanishes identically: every column of an
@@ -83,10 +85,6 @@ class Cochain:
     def from_kernels(cls, kernels: KernelFamily, caps: TruncationCaps) -> "Cochain":
         return cls(kernels, caps)
 
-    @property
-    def arity(self) -> int:
-        return self.kernels.arity
-
 
 # -- coboundary, symbol route ----------------------------------------------------
 
@@ -111,28 +109,9 @@ def kernel_coboundary(family: KernelFamily) -> KernelFamily:
 # -- coboundary, table route -----------------------------------------------------
 
 
-def _kernel_values(family: KernelFamily) -> Callable[[tuple], FockVector]:
-    """X(e_{A_1}, ..., e_{A_r}) as a function of the label tuple (A_1, ..., A_r).
-
-    Each tuple is evaluated once, through ``apply_kernel``; the table of
-    values lives as long as the returned function, one coboundary call.
-    """
-    values: dict = {}
-
-    def value_of(labels: tuple) -> FockVector:
-        value = values.get(labels)
-        if value is None:
-            value = apply_kernel(family, [FockVector.basis(a) for a in labels])
-            values[labels] = value
-        return value
-
-    return value_of
-
-
 def _delta_value(value_of: Callable[[tuple], FockVector], row: tuple) -> FockVector:
     """The defining alternating sum on one tuple of basis labels, its r + 2
-    terms added into one coefficient map; ``value_of`` gives X on a label
-    tuple (``_kernel_values``)."""
+    terms added into one coefficient map; ``value_of`` gives X on labels."""
     r = len(row) - 1
     acc: dict = {}
     first, last = row[0], row[r]
@@ -150,6 +129,22 @@ def _delta_value(value_of: Callable[[tuple], FockVector], row: tuple) -> FockVec
     return FockVector._raw(acc)
 
 
+def _delta_table(family: KernelFamily, caps: TruncationCaps, rows) -> BasisActionTable:
+    """The coboundary of ``family`` on ``rows``, truncated to caps.  X is read
+    from a table of its values that lives for this call, each label tuple
+    evaluated once, through ``apply_kernel``."""
+    values: dict = {}
+
+    def value_of(labels: tuple) -> FockVector:
+        value = values.get(labels)
+        if value is None:
+            value = apply_kernel(family, [FockVector.basis(a) for a in labels])
+            values[labels] = value
+        return value
+
+    return _tabulate(family.arity + 1, caps, rows, lambda row: _delta_value(value_of, row))
+
+
 def table_coboundary(cochain: Cochain) -> BasisActionTable:
     """Tabulate the coboundary on the window, truncating values to the caps.
 
@@ -158,16 +153,13 @@ def table_coboundary(cochain: Cochain) -> BasisActionTable:
     exactly representable on the window.  Each of the r + 2 terms sends a
     row of total degree D through an entry of stratum (l, m) to degree
     D - m + l, so only the rows the cochain's own strata keep within
-    max_degree are evaluated; every other row truncates to zero.  X is read
-    from a table built during the call, each basis tuple evaluated once.
+    max_degree are evaluated; every other row truncates to zero.
     """
     family, caps = cochain.kernels, cochain.caps
     r = family.arity
     for l, m in family.strata():
         _check_caps(r, l, m, caps)
-    rows = _window_rows(r + 1, caps, family)
-    value_of = _kernel_values(family)
-    return _tabulate(r + 1, caps, rows, lambda row: _delta_value(value_of, row))
+    return _delta_table(family, caps, _window_rows(r + 1, caps, family))
 
 
 def polydiff_degree(cochain: Cochain) -> tuple[int, int] | None:
@@ -217,20 +209,17 @@ def _splits(content: MultiIndex, r: int) -> tuple:
     )
 
 
+@dataclass(frozen=True)
 class RationalMatrix:
-    """A dense matrix of exact scalars."""
+    """A dense matrix of exact scalars: ``entries`` is a list of rows."""
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: list[list[Scalar]]
 
-    def __init__(self, rows: int, cols: int, entries: list[list[Scalar]]):
-        if len(entries) != rows or any(len(row) != cols for row in entries):
+    def __post_init__(self):
+        if len(self.entries) != self.rows or any(len(row) != self.cols for row in self.entries):
             raise ValueError("entry shape does not match rows x cols")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -255,14 +244,6 @@ class RationalMatrix:
 
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -325,13 +306,9 @@ def _table_route_delta(
     """Coboundary through tables: evaluate the defining formula on every
     (r+1)-tuple of total degree at most m, truncate, and extract the (l, m)
     stratum.  Those rows are the only ones the stratum's monomials consume,
-    so the partial table is exact for this read.  X is read from a table
-    built during the call, each basis tuple evaluated once."""
-    r = family.arity
-    rows = iter_index_tuples(r + 1, m, range(caps.max_mode))
-    value_of = _kernel_values(family)
-    partial = _tabulate(r + 1, caps, rows, lambda row: _delta_value(value_of, row))
-    return extract_kernels(partial, stratum=(l, m))
+    so the partial table is exact for this read."""
+    rows = iter_index_tuples(family.arity + 1, m, range(caps.max_mode))
+    return extract_kernels(_delta_table(family, caps, rows), stratum=(l, m))
 
 
 def coboundary_matrix(

@@ -219,15 +219,9 @@ def indices_of_degree(degree: int, modes: Sequence[int]) -> list[MultiIndex]:
     out: list[MultiIndex] = []
 
     def walk(pos: int, remaining: int, pairs: list[tuple[int, int]]):
-        if pos == len(modes):
-            if remaining == 0:
-                out.append(MultiIndex._raw(tuple(pairs)))
-            return
         if pos == len(modes) - 1:
-            if remaining:
-                out.append(MultiIndex._raw(tuple(pairs + [(modes[pos], remaining)])))
-            else:
-                out.append(MultiIndex._raw(tuple(pairs)))
+            last = [(modes[pos], remaining)] if remaining else []
+            out.append(MultiIndex._raw(tuple(pairs + last)))
             return
         walk(pos + 1, remaining, pairs)
         for r in range(1, remaining + 1):

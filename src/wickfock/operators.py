@@ -27,6 +27,7 @@ from .fock import (
     FockVector,
     TruncationCaps,
     _add_term,
+    _new,
     _set,
     _SparseMap,
     truncate,
@@ -231,8 +232,11 @@ def apply_kernel(family: KernelFamily, args: Sequence[FockVector]) -> FockVector
 class BasisActionTable:
     """Extensional r-linear operator on a truncation window.
 
-    ``action`` maps r-tuples of basis labels (each admitted by ``caps``) to
-    FockVector values; a missing row means the zero vector.
+    ``action`` maps r-tuples of basis labels to FockVector values; a missing
+    row means the zero vector.  ``__init__`` checks that each row has r labels
+    and that its labels and value terms are admitted by ``caps``, and drops
+    zero values.  ``_raw`` trusts all of this; the library's own tables, with
+    rows drawn from the caps and values truncated to them, are built by it.
     """
 
     __slots__ = ("arity", "caps", "action")
@@ -253,11 +257,23 @@ class BasisActionTable:
             for label in row:
                 if not caps.admits(label):
                     raise TruncationError(f"row label {label!r} outside caps {caps}")
+            for index in value.terms:
+                if not caps.admits(index):
+                    raise TruncationError(f"value term {index!r} outside caps {caps}")
             if not value.is_zero():
                 clean[row] = value
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "caps", caps)
-        object.__setattr__(self, "action", clean)
+        _set(self, "arity", arity)
+        _set(self, "caps", caps)
+        _set(self, "action", clean)
+
+    @classmethod
+    def _raw(cls, arity: int, caps: TruncationCaps, action: dict) -> "BasisActionTable":
+        """A table built unchecked from rows and values that fit the caps."""
+        obj = _new(cls)
+        _set(obj, "arity", arity)
+        _set(obj, "caps", caps)
+        _set(obj, "action", action)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("BasisActionTable is immutable")
@@ -277,7 +293,7 @@ class BasisActionTable:
         acc = dict(self.action)
         for row, value in other.action.items():
             _add_term(acc, row, value)
-        return BasisActionTable(self.arity, self.caps, acc)
+        return BasisActionTable._raw(self.arity, self.caps, acc)
 
     def __eq__(self, other) -> bool:
         return (
@@ -317,9 +333,6 @@ class BasisActionTable:
             )
             for row in data["rows"]
         }
-        for index in (i for value in action.values() for i in value.terms):
-            if not caps.admits(index):
-                raise TruncationError(f"value term {index!r} outside caps {caps}")
         return cls(_json_int(data["arity"]), caps, action)
 
 
@@ -331,13 +344,14 @@ def basis_labels(caps: TruncationCaps) -> list[MultiIndex]:
 def _tabulate(
     arity: int, caps: TruncationCaps, rows: Iterable, value_of: Callable
 ) -> BasisActionTable:
-    """The table of the nonzero values of value_of over rows, truncated to caps."""
+    """The table of the nonzero values of value_of over rows, truncated to
+    caps; rows must be arity-tuples of labels the caps admit (unchecked)."""
     action: dict[tuple[MultiIndex, ...], FockVector] = {}
     for row in rows:
         value = truncate(value_of(row), caps)
         if value:
             action[row] = value
-    return BasisActionTable(arity, caps, action)
+    return BasisActionTable._raw(arity, caps, action)
 
 
 def _window_rows(arity: int, caps: TruncationCaps, family: KernelFamily) -> Iterator:

@@ -125,11 +125,6 @@ class SymbolPolynomial(_SparseMap):
             _add_term(acc, key, value)
         return SymbolPolynomial._raw(self.arity, acc, region or self.caps or other.caps)
 
-    def __mul__(self, other):
-        if isinstance(other, SymbolPolynomial):
-            return self.mul(other)
-        return _SparseMap.__mul__(self, other)
-
     # -- evaluation and queries --------------------------------------------------
 
     def evaluate(self, xis: Sequence[TestVector], eta: TestVector) -> Scalar:

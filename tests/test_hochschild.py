@@ -24,7 +24,14 @@ from wickfock.hochschild import (
     table_coboundary,
 )
 from wickfock.multiindex import VACUUM, MultiIndex, indices_of_degree
-from wickfock.operators import KernelFamily, _tabulate, apply_kernel, basis_labels
+from wickfock.operators import (
+    BasisActionTable,
+    KernelFamily,
+    _tabulate,
+    apply_kernel,
+    basis_labels,
+    table_from_kernel,
+)
 from wickfock.scalars import ONE, ZERO, Scalar
 
 mi = MultiIndex
@@ -67,6 +74,27 @@ def test_table_and_kernel_routes_agree():
         assert table_coboundary(cochain) == reconstruct(
             kernel_coboundary(family), caps
         )
+
+
+def test_library_tables_pass_the_checked_constructor():
+    """Tables the library builds unchecked (``BasisActionTable._raw``) are
+    ones the constructor accepts unchanged: rows and value terms in the caps,
+    and no zero value."""
+    rng = Random(113)
+    tables = []
+    for _ in range(12):
+        arity = rng.randint(1, 2)
+        caps = TruncationCaps(2, 1 + arity + 1)
+        family = rand_kernel_family(rng, arity, 3, 1, max_entries=2)
+        other = rand_kernel_family(rng, arity, 3, 1, max_entries=2)
+        table = table_from_kernel(family, caps)
+        cancelled = table + table_from_kernel(other - family, caps)
+        assert cancelled == table_from_kernel(other, caps)
+        tables += [table, cancelled, table_coboundary(Cochain.from_kernels(family, caps))]
+    assert any(table.is_zero() for table in tables)
+    assert any(not table.is_zero() for table in tables)
+    for table in tables:
+        assert BasisActionTable(table.arity, table.caps, table.action) == table
 
 
 def test_table_coboundary_equals_full_product_table():
@@ -270,6 +298,22 @@ def test_rank_nullspace_hand_values():
     )
     rank, basis = rank_nullspace(eye)
     assert rank == 2 and basis == []
+
+
+def test_rational_matrix_checks_shape_and_immutability():
+    with pytest.raises(ValueError):
+        RationalMatrix(2, 2, [[ONE, ZERO]])
+    with pytest.raises(ValueError):
+        RationalMatrix(1, 2, [[ONE]])
+    row = RationalMatrix(1, 2, [[ONE, ZERO]])
+    with pytest.raises(AttributeError):
+        row.rows = 2
+    with pytest.raises(ValueError):
+        row.matmul(row)
+    assert row.matmul(RationalMatrix(2, 1, [[ONE], [ONE]])) == RationalMatrix(1, 1, [[ONE]])
+    assert RationalMatrix.zeros(2, 3) == RationalMatrix(2, 3, [[ZERO] * 3, [ZERO] * 3])
+    assert RationalMatrix.zeros(2, 3) != RationalMatrix.zeros(3, 2)
+    assert repr(RationalMatrix.zeros(2, 3)) == "RationalMatrix(2x3)"
 
 
 def test_rank_against_minor_oracle():

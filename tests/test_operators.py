@@ -308,6 +308,16 @@ def test_table_rows_must_fit_caps():
         BasisActionTable(1, caps, {(mi([(0, 2)]),): e(VACUUM)})
 
 
+def test_table_values_must_fit_caps():
+    """The constructor refuses a value term outside the caps, as reading JSON
+    does: on mode 5 extract_kernels would read entries no window holds."""
+    caps = TruncationCaps(2, 2)
+    with pytest.raises(TruncationError):
+        BasisActionTable(1, caps, {(mi([(0, 1)]),): e(mi([(5, 1)]))})
+    with pytest.raises(TruncationError):
+        BasisActionTable(1, caps, {(mi([(0, 1)]),): e(mi([(0, 3)]))})
+
+
 def test_kernel_multilinearity():
     rng = Random(53)
     for _ in range(20):
