@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 from . import hochschild
@@ -33,7 +34,6 @@ from .hochschild import (
     RationalMatrix,
     cohomology_dims,
     kernel_coboundary,
-    minor_rank,
     rank_nullspace,
     table_coboundary,
 )
@@ -468,6 +468,36 @@ def check_expansion(seed: int = 1, cases: int = 15) -> CheckReport:
             recovered + extract_kernels(reconstruct(other, caps)),
         )
     return rec.report
+
+
+def minor_rank(matrix: RationalMatrix) -> int:
+    """Independent rank oracle: largest size of a nonvanishing minor.
+
+    Exponential; intended for cross-checks on matrices up to about 4x4.
+    """
+
+    def det(rows_idx, cols_idx):
+        if not rows_idx:
+            return ONE
+        total = ZERO
+        first = rows_idx[0]
+        for position, col in enumerate(cols_idx):
+            entry = matrix.entries[first][col]
+            if not entry:
+                continue
+            rest = cols_idx[:position] + cols_idx[position + 1 :]
+            sub = det(rows_idx[1:], rest)
+            term = entry * sub
+            total = total + (term if position % 2 == 0 else -term)
+        return total
+
+    top = min(matrix.rows, matrix.cols)
+    for size in range(top, 0, -1):
+        for rows_idx in combinations(range(matrix.rows), size):
+            for cols_idx in combinations(range(matrix.cols), size):
+                if det(tuple(rows_idx), tuple(cols_idx)):
+                    return size
+    return 0
 
 
 def check_hochschild(seed: int = 1, cases: int = 10) -> CheckReport:

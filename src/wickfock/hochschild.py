@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Callable
 
 from .errors import ComplexInconsistencyError, TruncationError
@@ -422,33 +421,3 @@ def cohomology_dims(
     """(dim ker delta^r, rank delta^{r-1}, dim H^r) on the (l, m) stratum."""
     report = cohomology_report(r, l, m, caps, route)
     return report["dim_ker"], report["dim_im_prev"], report["dim_H"]
-
-
-def minor_rank(matrix: RationalMatrix) -> int:
-    """Independent rank oracle: largest size of a nonvanishing minor.
-
-    Exponential; intended for cross-checks on matrices up to about 4x4.
-    """
-
-    def det(rows_idx, cols_idx):
-        if not rows_idx:
-            return ONE
-        total = ZERO
-        first = rows_idx[0]
-        for position, col in enumerate(cols_idx):
-            entry = matrix.entries[first][col]
-            if not entry:
-                continue
-            rest = cols_idx[:position] + cols_idx[position + 1 :]
-            sub = det(rows_idx[1:], rest)
-            term = entry * sub
-            total = total + (term if position % 2 == 0 else -term)
-        return total
-
-    top = min(matrix.rows, matrix.cols)
-    for size in range(top, 0, -1):
-        for rows_idx in combinations(range(matrix.rows), size):
-            for cols_idx in combinations(range(matrix.cols), size):
-                if det(tuple(rows_idx), tuple(cols_idx)):
-                    return size
-    return 0

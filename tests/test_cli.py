@@ -2,7 +2,11 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wickfock.operators
+from wickfock import checks
 from wickfock.cli import _write_json, main
 from wickfock.fock import (
     FockVector,
@@ -27,6 +32,7 @@ from wickfock.symbolcalc import symbol_poly
 
 mi = MultiIndex
 e = FockVector.basis
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -218,6 +224,31 @@ def test_check_command_passes_and_is_deterministic(runner):
 def test_check_command_unknown_suite(runner):
     result = runner.invoke(main, ["check", "--suite", "nonsense"])
     assert result.exit_code == 2
+
+
+def test_check_suite_choices_are_the_sorted_suites_then_all():
+    (suite,) = [p for p in main.commands["check"].params if p.name == "suite"]
+    assert list(suite.type.choices) == sorted(checks.SUITES) + ["all"]
+
+
+def test_cli_start_leaves_the_check_suites_unloaded():
+    # A fresh process, because other tests import wickfock.checks in this one.
+    script = (
+        "import wickfock, wickfock.cli, sys\n"
+        "from click.testing import CliRunner\n"
+        "assert 'wickfock.checks' not in sys.modules, 'checks loaded at start'\n"
+        "args = ['check', '--suite', 'pairing', '--cases', '2']\n"
+        "result = CliRunner().invoke(wickfock.cli.main, args)\n"
+        "assert result.exit_code == 0, result.output\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
 
 
 @pytest.mark.parametrize("cases", ["0", "-4"])

@@ -73,6 +73,7 @@ CASES = {
     "cohomology_kernel_modes4": ["cohomology", "--r", "2", "--l", "0", "--m", "2", "--modes", "4"],
     "cohomology_kernel_r4": ["cohomology", "--r", "4", "--l", "0", "--m", "4", "--modes", "1"],
     "check_all": ["check", "--suite", "all", "--cases", "3"],
+    "check_help": ["check", "--help"],
 }
 
 

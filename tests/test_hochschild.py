@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 import wickfock.hochschild as hochschild
-from wickfock.checks import rand_kernel_family
+from wickfock.checks import minor_rank, rand_kernel_family
 from wickfock.errors import ComplexInconsistencyError, TruncationError
 from wickfock.expansion import extract_kernels, reconstruct
 from wickfock.fock import FockVector, TruncationCaps, wick_product
@@ -17,7 +17,6 @@ from wickfock.hochschild import (
     cohomology_dims,
     cohomology_report,
     kernel_coboundary,
-    minor_rank,
     polydiff_degree,
     rank_nullspace,
     stratum_basis,
