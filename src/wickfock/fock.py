@@ -286,7 +286,7 @@ def pairing(x: FockVector, y: FockVector) -> Scalar:
     for index, coeff in small.items():
         other = big.get(index)
         if other is not None:
-            total = total + coeff * other * Scalar(index.pairing_weight)
+            total = total + coeff * other * index.pairing_weight
     return total
 
 

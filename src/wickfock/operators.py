@@ -19,7 +19,7 @@ a finite truncation window: a map from argument label tuples to values.
 
 from __future__ import annotations
 
-from itertools import product
+from collections import defaultdict
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ArityError, TruncationError
@@ -70,21 +70,54 @@ def apply_annihilation(mode: int, x: FockVector) -> FockVector:
 
 
 def create_by(index: MultiIndex, x: FockVector) -> FockVector:
-    """Multiplicity-iterated creation a*_I = prod a*_i^{r_i}."""
-    for mode, mult in index.pairs:
-        for _ in range(mult):
-            x = apply_creation(mode, x)
-    return x
+    """Multiplicity-iterated creation a*_I = prod a*_i^{s_i}, in closed form.
+
+    On a term e_A, with r_i the multiplicity of mode i in A, it is
+    ``prod_i c(r_i) c(r_i + 1) ... c(r_i + s_i - 1) e_{A + I}``: one pass per
+    term, the creation hook called once per quantum, and one Scalar x int.
+    """
+    if not index.pairs:
+        return x
+    terms: dict[MultiIndex, Scalar] = {}
+    for a, coeff in x.terms.items():
+        factor = 1
+        for mode, s in index.pairs:
+            r = a.multiplicity(mode)
+            for k in range(r, r + s):
+                factor *= _creation_coefficient(k)
+        if factor:
+            terms[a.concat(index)] = coeff * factor
+    return FockVector._raw(terms)
 
 
 def annihilate_by(index: MultiIndex, x: FockVector) -> FockVector:
-    """Multiplicity-iterated annihilation a_J = prod a_j^{r_j}."""
-    for mode, mult in index.pairs:
-        for _ in range(mult):
-            if x.is_zero():
-                return x
-            x = apply_annihilation(mode, x)
-    return x
+    """Multiplicity-iterated annihilation a_J = prod a_j^{s_j}, in closed form.
+
+    A term e_A goes to zero unless J fits A (s_j <= r_j on every mode), and
+    otherwise to ``prod_j c'(r_j) c'(r_j - 1) ... c'(r_j - s_j + 1) e_{A - J}``:
+    one pass per term, the annihilation hook called once per quantum, and one
+    Scalar x int.
+    """
+    if not index.pairs:
+        return x
+    drop = dict(index.pairs)
+    terms: dict[MultiIndex, Scalar] = {}
+    for a, coeff in x.terms.items():
+        factor, hit, rest = 1, 0, []
+        for mode, r in a.pairs:
+            s = drop.get(mode, 0)
+            if s > r:
+                break
+            if s:
+                hit += 1
+                for k in range(r, r - s, -1):
+                    factor *= _annihilation_coefficient(k)
+            if r > s:
+                rest.append((mode, r - s))
+        else:
+            if hit == len(drop) and factor:
+                terms[MultiIndex._raw(tuple(rest))] = coeff * factor
+    return FockVector._raw(terms)
 
 
 BlockKey = tuple[int, tuple[int, ...]]
@@ -206,27 +239,26 @@ class KernelFamily(_SparseMap):
 def apply_kernel(family: KernelFamily, args: Sequence[FockVector]) -> FockVector:
     """Exact multilinear action of a kernel family; no truncation.
 
-    Each entry annihilates slot j by J_j, Wick-multiplies the slot results,
-    and creates by I.
+    Each entry annihilates slot j by J_j (a zero slot ends the entry),
+    Wick-multiplies the slot results, and creates by I; the output terms of
+    every entry, times its coefficient, are added into one accumulator.
     """
     if len(args) != family.arity:
         raise ArityError(
             f"kernel family of arity {family.arity} applied to {len(args)} arguments"
         )
-    total = FockVector.zero()
+    acc: dict[MultiIndex, Scalar] = {}
     for (creation, annihilations), coeff in family.terms.items():
         prod_vec: FockVector | None = None
-        dead = False
-        for j, annihilation in enumerate(annihilations):
-            piece = annihilate_by(annihilation, args[j])
-            if piece.is_zero():
-                dead = True
+        for annihilation, arg in zip(annihilations, args):
+            piece = annihilate_by(annihilation, arg)
+            if not piece:
                 break
             prod_vec = piece if prod_vec is None else wick_product(prod_vec, piece)
-        if dead or prod_vec is None:
-            continue
-        total = total + create_by(creation, prod_vec) * coeff
-    return total
+        else:
+            for index, value in create_by(creation, prod_vec).terms.items():
+                _add_term(acc, index, value * coeff)
+    return FockVector._raw(acc)
 
 
 class BasisActionTable:
@@ -363,10 +395,12 @@ def _window_rows(arity: int, caps: TruncationCaps, family: KernelFamily) -> Iter
 
 
 def _reachable_rows(family: KernelFamily, caps: TruncationCaps) -> dict:
-    """The rows ``table_from_kernel`` evaluates (see there), each once."""
-    rows: dict[tuple[MultiIndex, ...], None] = {}
+    """The rows ``table_from_kernel`` evaluates (see there), each mapped to
+    the sub-family of the entries that reach it."""
+    reach: dict[tuple[MultiIndex, ...], dict[EntryKey, Scalar]] = defaultdict(dict)
     labels = {label: label for label in basis_labels(caps)}  # rows share label objects
-    for creation, annihilations in family.terms:
+    for entry, coeff in family.terms.items():
+        creation, annihilations = entry
         if not caps.admits(creation):
             continue
         budget = caps.max_degree - creation.degree
@@ -374,8 +408,8 @@ def _reachable_rows(family: KernelFamily, caps: TruncationCaps) -> dict:
         for ks in iter_index_tuples(family.arity, budget, range(caps.max_mode), room):
             row = tuple(map(labels.get, map(MultiIndex.concat, annihilations, ks)))
             if all(row):  # None for a label outside the caps
-                rows[row] = None
-    return rows
+                reach[row][entry] = coeff
+    return {row: family._like(entries) for row, entries in reach.items()}
 
 
 def table_from_kernel(family: KernelFamily, caps: TruncationCaps) -> BasisActionTable:
@@ -384,20 +418,27 @@ def table_from_kernel(family: KernelFamily, caps: TruncationCaps) -> BasisAction
     An entry (I, (J_1, ..., J_r)) is nonzero on a row only when each label
     is A_j = J_j + K_j, and its value e_{I + K_1 + ... + K_r} survives the
     caps only when I is in them and the K_j have total degree at most
-    max_degree - degree(I).  Only those rows are evaluated, and the values are
-    truncated to the caps, so for in-window arguments
+    max_degree - degree(I).  Only those rows are evaluated, each with the
+    entries that reach it, and the values are truncated to the caps, so for
+    in-window arguments
     ``apply_table(table, args) == truncate(apply_kernel(family, args), caps)``.
     """
+    reach = _reachable_rows(family, caps)
     return _tabulate(
         family.arity,
         caps,
-        _reachable_rows(family, caps),
-        lambda row: apply_kernel(family, [FockVector.basis(a) for a in row]),
+        reach,
+        lambda row: apply_kernel(reach[row], [FockVector.basis(a) for a in row]),
     )
 
 
 def apply_table(table: BasisActionTable, args: Sequence[FockVector]) -> FockVector:
-    """Multilinear extension of the stored basis action."""
+    """Multilinear extension of the stored basis action.
+
+    Row by row: a stored row (A_1, ..., A_r) adds its value times
+    ``prod_j args[j]_{A_j}`` into one accumulator, and a row some argument
+    misses adds nothing.
+    """
     if len(args) != table.arity:
         raise ArityError(
             f"table of arity {table.arity} applied to {len(args)} arguments"
@@ -408,15 +449,16 @@ def apply_table(table: BasisActionTable, args: Sequence[FockVector]) -> FockVect
                 raise TruncationError(
                     f"argument term {index!r} outside caps {table.caps}"
                 )
-    total = FockVector.zero()
-    for combo in product(*(arg.terms.items() for arg in args)):
-        row = tuple(index for index, _ in combo)
-        value = table.action.get(row)
-        if value is None:
-            continue
-        coeff = combo[0][1]
-        for _, factor in combo[1:]:
-            coeff = coeff * factor
-        if coeff:
-            total = total + value * coeff
-    return total
+    acc: dict[MultiIndex, Scalar] = {}
+    slots = [arg.terms for arg in args]
+    for row, value in table.action.items():
+        coeff = None
+        for label, terms in zip(row, slots):
+            factor = terms.get(label)
+            if factor is None:
+                break
+            coeff = factor if coeff is None else coeff * factor
+        else:
+            for index, term in value.terms.items():
+                _add_term(acc, index, term * coeff)
+    return FockVector._raw(acc)

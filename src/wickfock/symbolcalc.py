@@ -222,11 +222,11 @@ def symbol_poly(table: BasisActionTable) -> SymbolPolynomial:
     """
     terms: dict[TermKey, Scalar] = {}
     for row, value in table.action.items():
-        weight = Fraction(1)
+        weight = 1
         for label in row:
-            weight /= label.pairing_weight
+            weight *= label.pairing_weight
         for out_index, coeff in value.terms.items():
-            terms[(row, out_index)] = coeff * weight
+            terms[(row, out_index)] = coeff / weight
     return SymbolPolynomial._raw(table.arity, terms, table.caps)
 
 

@@ -32,6 +32,9 @@ CASES = {
     "norm": ["norm", _in("fock_a.json"), "--k", "1", "--c", "2/3"],
     "apply_1": ["apply", _in("kernel_1.json"), _in("fock_a.json")],
     "apply_2": ["apply", _in("kernel_2.json"), _in("fock_a.json"), _in("fock_b.json")],
+    "apply_ladder": [
+        "apply", _in("kernel_ladder.json"), _in("fock_ladder.json"), _in("fock_ladder.json"),
+    ],
     "symbol_poly_kernel": [
         "symbol", _in("kernel_1.json"), "--poly", "--max-mode", "3", "--max-degree", "2",
     ],

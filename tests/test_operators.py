@@ -4,7 +4,13 @@ from random import Random
 
 import pytest
 
-from wickfock.checks import rand_fock, rand_kernel_family, rand_test_vector
+from wickfock.checks import (
+    rand_fock,
+    rand_kernel_family,
+    rand_multiindex,
+    rand_scalar,
+    rand_test_vector,
+)
 from wickfock.errors import ArityError, TruncationError
 from wickfock.fock import (
     FockVector,
@@ -22,17 +28,26 @@ from wickfock.operators import (
     KernelFamily,
     _tabulate,
     _window_rows,
+    annihilate_by,
     apply_annihilation,
     apply_creation,
     apply_kernel,
     apply_table,
     basis_labels,
+    create_by,
     table_from_kernel,
 )
 from wickfock.scalars import ONE, Scalar
 
 mi = MultiIndex
 e = FockVector.basis
+
+# wrong ladder constants: the property checks must see each of them
+BROKEN_LADDERS = [
+    ("_annihilation_coefficient", lambda m: 1),
+    ("_creation_coefficient", lambda m: m + 2),
+]
+BROKEN_IDS = ["annihilation-1", "creation-m-plus-2"]
 
 
 def test_ladder_constants_forced_by_adjointness_and_commutator():
@@ -127,6 +142,44 @@ def test_annihilation_is_wick_derivation():
         ) + wick_product(x, apply_annihilation(mode, y))
 
 
+def _ladder_by_quanta(step, index, x):
+    """The reference for a*_I and a_J: one ladder step per quantum."""
+    for mode, mult in index.pairs:
+        for _ in range(mult):
+            x = step(mode, x)
+    return x
+
+
+@pytest.mark.parametrize(
+    "hook, broken",
+    [
+        (None, None),
+        *BROKEN_LADDERS,
+        ("_annihilation_coefficient", lambda m: 0 if m == 2 else m),
+        ("_creation_coefficient", lambda m: 0 if m == 1 else 1),
+    ],
+    ids=["clean", *BROKEN_IDS, "annihilation-0-at-2", "creation-0-at-1"],
+)
+def test_closed_form_ladders_equal_per_quantum_composition(monkeypatch, hook, broken):
+    """create_by and annihilate_by take one pass per term; they must equal
+    the quantum-by-quantum composition, under any ladder constants, and
+    drop a term whose constant product is zero."""
+    if hook is not None:
+        monkeypatch.setattr(operators, hook, broken)
+    rng = Random(71)
+    for trial in range(80):
+        x = rand_fock(rng, 3, 5, max_terms=5)
+        if trial % 2 and x:
+            # a part of a term of x, so that it fits on several modes
+            index = rng.choice(rng.choice(list(x.terms)).decompositions())[0]
+        else:
+            index = rand_multiindex(rng, 3, 3)
+        for closed, step in ((create_by, apply_creation), (annihilate_by, apply_annihilation)):
+            got = closed(index, x)
+            assert got == _ladder_by_quanta(step, index, x)
+            assert all(got.terms.values())
+
+
 def test_kernel_family_validation():
     with pytest.raises(ValueError):
         KernelFamily(0, {})
@@ -214,11 +267,7 @@ def test_table_from_kernel_equals_full_product_table():
     _assert_equals_full_product_table(cases)
 
 
-@pytest.mark.parametrize(
-    "hook, broken",
-    [("_annihilation_coefficient", lambda m: 1), ("_creation_coefficient", lambda m: m + 2)],
-    ids=["annihilation-1", "creation-m-plus-2"],
-)
+@pytest.mark.parametrize("hook, broken", BROKEN_LADDERS, ids=BROKEN_IDS)
 def test_reachable_rows_hold_under_broken_ladder_constants(monkeypatch, hook, broken):
     """Which rows a family reaches follows from the index patterns alone, so
     skipping the others stays exact when the ladder constants are wrong."""
@@ -241,10 +290,15 @@ def _reaches(family, caps, row):
 
 
 def test_table_from_kernel_evaluates_each_reachable_row_once(monkeypatch):
+    """Each reached row is evaluated once, with exactly the entries that
+    reach it."""
     calls = []
+    families = {}
 
     def counting(family, args):
-        calls.append(tuple(label for arg in args for label in arg.terms))
+        row = tuple(label for arg in args for label in arg.terms)
+        calls.append(row)
+        families[row] = family
         return apply_kernel(family, args)
 
     monkeypatch.setattr(operators, "apply_kernel", counting)
@@ -255,11 +309,19 @@ def test_table_from_kernel_evaluates_each_reachable_row_once(monkeypatch):
         entries = 1 if trial % 2 else 3
         family = rand_kernel_family(rng, arity, 3, 4, max_entries=entries)
         calls.clear()
+        families.clear()
         table = table_from_kernel(family, caps)
         window = list(product(basis_labels(caps), repeat=arity))
         reached = {row for row in window if _reaches(family, caps, row)}
         assert len(calls) == len(set(calls)) == len(reached)
         assert set(calls) == reached
+        for row, sub in families.items():
+            assert sub.arity == family.arity
+            assert sub.terms == {
+                entry: coeff
+                for entry, coeff in family.terms.items()
+                if _reaches(family._like({entry: coeff}), caps, row)
+            }
         assert len(calls) <= len(list(_window_rows(arity, caps, family)))
         if len(family.terms) == 1:  # one entry cannot cancel
             assert len(calls) == len(table.action)
@@ -291,6 +353,46 @@ def test_apply_table_hand_values():
         KernelFamily.single(1, mi([(0, 1)]), (mi([(0, 1)]),)), caps
     )
     assert apply_table(number_op, [x]) == e(mi([(0, 1)]))
+
+
+def _apply_table_by_products(table, args):
+    """The reference: every combination of argument terms, one row each."""
+    total = FockVector.zero()
+    for combo in product(*(arg.terms.items() for arg in args)):
+        coeff = ONE
+        for _, factor in combo:
+            coeff = coeff * factor
+        total = total + table.value(tuple(index for index, _ in combo)) * coeff
+    return total
+
+
+def test_apply_table_equals_product_over_argument_terms():
+    rng = Random(73)
+    caps = TruncationCaps(2, 3)
+    labels = basis_labels(caps)
+    for trial in range(40):
+        arity = rng.randint(1, 3)
+        if trial % 4 == 0:
+            table = BasisActionTable(arity, caps, {})
+        elif trial % 4 == 1:
+            rows = {tuple(rng.choice(labels) for _ in range(arity)) for _ in range(8)}
+            table = BasisActionTable(arity, caps, {row: rand_fock(rng, 2, 3) for row in rows})
+        else:
+            table = table_from_kernel(rand_kernel_family(rng, arity, 2, 3), caps)
+        for _ in range(4):
+            args = [rand_fock(rng, 2, 3, max_terms=4) for _ in range(arity)]
+            assert apply_table(table, args) == _apply_table_by_products(table, args)
+        # a first argument on labels that start no stored row
+        unused = sorted(set(labels) - {row[0] for row in table.action})
+        if unused:
+            first = FockVector(
+                {label: rand_scalar(rng, allow_zero=False) for label in rng.sample(unused, 2)}
+                if len(unused) > 1
+                else {unused[0]: ONE}
+            )
+            args = [first] + [rand_fock(rng, 2, 3, max_terms=4) for _ in range(arity - 1)]
+            assert apply_table(table, args).is_zero()
+            assert _apply_table_by_products(table, args).is_zero()
 
 
 def test_apply_table_rejects_out_of_caps_support():
