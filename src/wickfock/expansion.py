@@ -18,8 +18,10 @@ window is therefore exact, and ``extract_kernels`` reads nothing outside it:
 the division by the exponential series is carried out on the window only, so
 no entry has a creation or slot degree above caps.max_degree (which is why
 the ``expand`` command marks every block ``"reliable": true``).  The same
-holds on every smaller window of this shape, so reading one stratum divides
-out the exponential only on the smallest window that holds its monomials.
+argument reads a table stored only on a downward-closed set R of rows: the
+coefficient at slots (J_1, ..., J_r) reads only rows with A_j <= J_j, so each
+entry whose slot tuple is in R is exact.  The table route of the coboundary
+reads its matrices that way.
 """
 
 from __future__ import annotations
@@ -29,30 +31,16 @@ from .operators import BasisActionTable, KernelFamily, table_from_kernel
 from .symbolcalc import reduced_symbol, symbol_poly
 
 
-def extract_kernels(
-    table: BasisActionTable, stratum: tuple[int, int] | None = None
-) -> KernelFamily:
+def extract_kernels(table: BasisActionTable) -> KernelFamily:
     """Read the kernel family off the table's reduced symbol.
 
     Each monomial with slot exponents (J_1, ..., J_r) and output exponent I
-    becomes the entry (I, (J_1, ..., J_r)).  With ``stratum`` = (l, m), only
-    monomials with degree(I) = l and total slot degree m are read; this is valid
-    also for partial tables that store every row of total degree at most m, since
-    no other rows enter those monomials.  Those monomials have output degree
-    l and every slot degree at most m, so the reduced symbol is computed only
-    on the sub-window of degree max(l, m): it is downward closed, hence exact
-    there, and nothing outside it is read.
+    becomes the entry (I, (J_1, ..., J_r)).
     """
-    caps = table.caps
-    if stratum is not None:
-        stratum = tuple(stratum)
-        caps = TruncationCaps(caps.max_mode, min(caps.max_degree, max(stratum)))
-    reduced = reduced_symbol(symbol_poly(table), caps)
-    entries = {}
-    for (slots, eta), coeff in reduced.terms.items():
-        if stratum is None or (eta.degree, sum(u.degree for u in slots)) == stratum:
-            entries[(eta, slots)] = coeff
-    return KernelFamily(table.arity, entries)
+    reduced = reduced_symbol(symbol_poly(table))
+    return KernelFamily(
+        table.arity, {(eta, slots): coeff for (slots, eta), coeff in reduced.terms.items()}
+    )
 
 
 def reconstruct(family: KernelFamily, caps: TruncationCaps) -> BasisActionTable:

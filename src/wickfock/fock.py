@@ -11,8 +11,9 @@ Conventions, fixed once for the whole package:
 * The topological norm keeps the separate ``degree!`` weight.
 
 Everything is exact: coefficients are Gaussian rationals.  Fock vectors, test
-vectors, kernel families (``operators``) and symbol polynomials
-(``symbolcalc``) are all finite linear combinations over a set of keys; their
+vectors, kernel families and basis-action tables (``operators``) and symbol
+polynomials (``symbolcalc``) are all finite linear combinations over a set of
+keys (a table's values are Fock vectors, the others' scalars); their
 ``+``, ``-``, scalar ``*``, equality and immutability are written once, in
 ``_SparseMap``, and each class adds only its key validation, fixed fields,
 queries and JSON form.
@@ -63,7 +64,8 @@ _set = object.__setattr__
 
 
 class _SparseMap:
-    """A finitely supported map key -> Scalar; ``terms`` never holds a zero.
+    """A finitely supported map key -> Scalar (-> FockVector for a table);
+    ``terms`` never holds a zero.
 
     The linear structure shared by every such map of the package.  A subclass
     validates keys in ``_key``; one with fixed fields beyond ``terms`` (its

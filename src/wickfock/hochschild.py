@@ -22,7 +22,9 @@ Two realizations are provided and must agree:
   that lives for one coboundary call, each tuple evaluated once through
   ``apply_kernel``, and the r + 2 terms of a row are added into one map.
   ``_delta_table`` is that tabulator, for the window (``table_coboundary``)
-  and for the rows a stratum matrix reads (``_table_route_delta``).
+  and for a stratum or block matrix (``_table_route_delta``).  A matrix
+  reads the rows under its contents: every (r+1)-tuple whose concatenation
+  is at most a content, a downward-closed set, computed once per matrix.
 
 Zero-cochains are algebra elements; the algebra is commutative, so their
 coboundary (the commutator cochain) vanishes identically: every column of an
@@ -300,14 +302,16 @@ def _check_caps(r: int, l: int, m: int, caps: TruncationCaps):
 
 
 def _table_route_delta(
-    family: KernelFamily, caps: TruncationCaps, l: int, m: int
+    family: KernelFamily, caps: TruncationCaps, l: int, m: int, rows: set
 ) -> KernelFamily:
-    """Coboundary through tables: evaluate the defining formula on every
-    (r+1)-tuple of total degree at most m, truncate, and extract the (l, m)
-    stratum.  Those rows are the only ones the stratum's monomials consume,
-    so the partial table is exact for this read."""
-    rows = iter_index_tuples(family.arity + 1, m, range(caps.max_mode))
-    return extract_kernels(_delta_table(family, caps, rows), stratum=(l, m))
+    """Coboundary through tables: evaluate the defining formula on ``rows``,
+    truncate to the degree-max(l, m) window, and keep the extracted entries
+    whose slot tuple is a row.  The reduced-symbol coefficient at slots J
+    reads only rows <= J, and ``rows`` is downward closed, so every kept
+    entry is exact."""
+    table = _delta_table(family, TruncationCaps(caps.max_mode, max(l, m)), rows)
+    image = extract_kernels(table)
+    return image._like({key: c for key, c in image.terms.items() if key[1] in rows})
 
 
 def coboundary_matrix(
@@ -343,6 +347,11 @@ def coboundary_matrix(
         codomain = [(creation, slots) for slots in _splits(content, r + 1)]
     if r == 0:  # the coboundary of an algebra element vanishes
         return RationalMatrix.zeros(len(codomain), len(domain))
+    if route == "table":  # every (r+1)-tuple under a content of the matrix
+        contents = [block[1]] if block else indices_of_degree(m, range(caps.max_mode))
+        tuples = {
+            s for c in contents for low, _ in c.decompositions() for s in _splits(low, r + 1)
+        }
     index = {key: i for i, key in enumerate(codomain)}
     rows = [[ZERO] * len(domain) for _ in codomain]
     for j, (creation, slots) in enumerate(domain):
@@ -350,7 +359,7 @@ def coboundary_matrix(
         if route == "kernel":
             image = kernel_coboundary(family)
         elif route == "table":
-            image = _table_route_delta(family, caps, l, m)
+            image = _table_route_delta(family, caps, l, m, tuples)
         else:
             raise ValueError(f"unknown route {route!r}")
         for entry, coeff in image.terms.items():

@@ -14,7 +14,8 @@ from entries (I, (J_1, ..., J_r)) to coefficients, with the linear structure
 of every sparse map (``fock._SparseMap``); its (l, M) blocks are derived
 from the entries when read.  A
 :class:`BasisActionTable` is the extensional form of an r-linear operator on
-a finite truncation window: a map from argument label tuples to values.
+a finite truncation window: a sparse map, of the same structure, from
+argument label tuples to values.
 """
 
 from __future__ import annotations
@@ -261,42 +262,39 @@ def apply_kernel(family: KernelFamily, args: Sequence[FockVector]) -> FockVector
     return FockVector._raw(acc)
 
 
-class BasisActionTable:
+class BasisActionTable(_SparseMap):
     """Extensional r-linear operator on a truncation window.
 
-    ``action`` maps r-tuples of basis labels to FockVector values; a missing
-    row means the zero vector.  ``__init__`` checks that each row has r labels
-    and that its labels and value terms are admitted by ``caps``, and drops
-    zero values.  ``_raw`` trusts all of this; the library's own tables, with
-    rows drawn from the caps and values truncated to them, are built by it.
+    ``terms`` (also read as ``action``) maps r-tuples of basis labels to
+    FockVector values, with the linear structure of every sparse map: a
+    missing row means the zero vector, and a row given twice adds.
+    ``_key`` checks that each row has r labels admitted by ``caps``, and
+    ``__init__`` that the summed values' terms are admitted too.  ``_raw``
+    trusts all of this; the library's own tables, with rows drawn from the
+    caps and values truncated to them, are built by it.
     """
 
-    __slots__ = ("arity", "caps", "action")
+    __slots__ = ("arity", "caps")
 
-    def __init__(
-        self,
-        arity: int,
-        caps: TruncationCaps,
-        action: dict[tuple[MultiIndex, ...], FockVector] = None,
-    ):
+    def __init__(self, arity: int, caps: TruncationCaps, action: dict | Iterable = ()):
         if arity < 1:
             raise ValueError("table arity must be at least 1")
-        clean: dict[tuple[MultiIndex, ...], FockVector] = {}
-        for row, value in (action or {}).items():
-            row = tuple(row)
-            if len(row) != arity:
-                raise ArityError(f"row {row} does not match arity {arity}")
-            for label in row:
-                if not caps.admits(label):
-                    raise TruncationError(f"row label {label!r} outside caps {caps}")
+        _set(self, "arity", arity)
+        _set(self, "caps", caps)
+        super().__init__(action)
+        for value in self.terms.values():
             for index in value.terms:
                 if not caps.admits(index):
                     raise TruncationError(f"value term {index!r} outside caps {caps}")
-            if not value.is_zero():
-                clean[row] = value
-        _set(self, "arity", arity)
-        _set(self, "caps", caps)
-        _set(self, "action", clean)
+
+    def _key(self, row) -> tuple[MultiIndex, ...]:
+        row = tuple(row)
+        if len(row) != self.arity:
+            raise ArityError(f"row {row} does not match arity {self.arity}")
+        for label in row:
+            if not self.caps.admits(label):
+                raise TruncationError(f"row label {label!r} outside caps {self.caps}")
+        return row
 
     @classmethod
     def _raw(cls, arity: int, caps: TruncationCaps, action: dict) -> "BasisActionTable":
@@ -304,11 +302,17 @@ class BasisActionTable:
         obj = _new(cls)
         _set(obj, "arity", arity)
         _set(obj, "caps", caps)
-        _set(obj, "action", action)
+        _set(obj, "terms", action)
         return obj
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BasisActionTable is immutable")
+    def _like(self, terms: dict, other=None) -> "BasisActionTable":
+        if other is not None and other.caps != self.caps:
+            raise ValueError("can only add tables with equal caps")
+        return BasisActionTable._raw(self.arity, self.caps, terms)
+
+    @property
+    def action(self) -> dict[tuple[MultiIndex, ...], FockVector]:
+        return self.terms
 
     def rows(self) -> list[tuple[MultiIndex, ...]]:
         return sorted(self.action)
@@ -316,24 +320,8 @@ class BasisActionTable:
     def value(self, row: tuple[MultiIndex, ...]) -> FockVector:
         return self.action.get(tuple(row), FockVector.zero())
 
-    def is_zero(self) -> bool:
-        return not self.action
-
-    def __add__(self, other: "BasisActionTable") -> "BasisActionTable":
-        if other.arity != self.arity or other.caps != self.caps:
-            raise ValueError("can only add tables with equal arity and caps")
-        acc = dict(self.action)
-        for row, value in other.action.items():
-            _add_term(acc, row, value)
-        return BasisActionTable._raw(self.arity, self.caps, acc)
-
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BasisActionTable)
-            and self.arity == other.arity
-            and self.caps == other.caps
-            and self.action == other.action
-        )
+        return super().__eq__(other) and self.caps == other.caps
 
     def __repr__(self) -> str:
         return (
@@ -359,13 +347,11 @@ class BasisActionTable:
         caps = TruncationCaps(
             _json_int(data["caps"]["max_mode"]), _json_int(data["caps"]["max_degree"])
         )
-        action = {
-            tuple(MultiIndex.from_json(a) for a in row["args"]): FockVector.from_json(
-                row["value"]
-            )
+        rows = [  # a row given twice adds, as in every reader
+            (tuple(map(MultiIndex.from_json, row["args"])), FockVector.from_json(row["value"]))
             for row in data["rows"]
-        }
-        return cls(_json_int(data["arity"]), caps, action)
+        ]
+        return cls(_json_int(data["arity"]), caps, rows)
 
 
 def basis_labels(caps: TruncationCaps) -> list[MultiIndex]:

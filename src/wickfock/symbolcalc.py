@@ -24,7 +24,6 @@ outside it is ever formed; a window wider than the polynomial's own is refused.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -39,7 +38,7 @@ from .fock import (
     coherent,
     pairing,
 )
-from .multiindex import VACUUM, MultiIndex, indices_up_to
+from .multiindex import VACUUM, MultiIndex, iter_index_tuples
 from .operators import BasisActionTable, apply_table
 from .scalars import ONE, ZERO, Scalar, _json_int
 
@@ -237,7 +236,8 @@ def exp_bracket_poly(
 
     Terms are slot-tuples (T_1, ..., T_r) of patterns with coefficient
     ``prod_j (+-1)^{|T_j|} / T_j!``, x-exponent T_j in slot j, and y-exponent
-    the concatenation of all T_j; kept while every degree fits the window.
+    the concatenation of all T_j; kept while every degree fits the window,
+    that is, while the total degree does.
     The series is built once per (arity, window, sign) and shared between
     callers: the returned polynomial must not be mutated.
     """
@@ -248,18 +248,15 @@ def exp_bracket_poly(
 def _exp_bracket_series(
     arity: int, max_mode: int, max_degree: int, negate: bool
 ) -> SymbolPolynomial:
-    caps = TruncationCaps(max_mode, max_degree)
-    result = SymbolPolynomial.one(arity)
-    sign = -1 if negate else 1
-    for slot in range(arity):
-        factor_terms: dict[TermKey, Scalar] = {}
-        for t in indices_up_to(max_degree, range(max_mode)):
-            coeff = Scalar(Fraction(sign ** t.degree, t.pairing_weight))
-            slots = tuple(t if j == slot else VACUUM for j in range(arity))
-            factor_terms[(slots, t)] = coeff
-        factor = SymbolPolynomial._raw(arity, factor_terms, caps)
-        result = result.mul(factor, region=caps)
-    return result
+    # One pass over the slot tuples whose total, the output degree, fits.
+    terms: dict[TermKey, Scalar] = {}
+    for ts in iter_index_tuples(arity, max_degree, range(max_mode)):
+        weight, eta = 1, VACUUM
+        for t in ts:
+            weight *= t.pairing_weight
+            eta = eta.concat(t)
+        terms[(ts, eta)] = Scalar._raw(-1 if negate and eta.degree % 2 else 1, 0, weight)
+    return SymbolPolynomial._raw(arity, terms, TruncationCaps(max_mode, max_degree))
 
 
 def reduced_symbol(

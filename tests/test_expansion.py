@@ -1,10 +1,11 @@
+import functools
 from random import Random
 
 from wickfock.checks import rand_kernel_family
 from wickfock.expansion import extract_kernels, reconstruct
-from wickfock.fock import FockVector, TruncationCaps
-from wickfock.multiindex import VACUUM, MultiIndex
-from wickfock.operators import BasisActionTable, KernelFamily, table_from_kernel
+from wickfock.fock import FockVector, TruncationCaps, truncate
+from wickfock.multiindex import VACUUM, MultiIndex, iter_index_tuples
+from wickfock.operators import BasisActionTable, KernelFamily, apply_kernel, table_from_kernel
 mi = MultiIndex
 
 
@@ -85,35 +86,44 @@ def test_extraction_is_linear():
         assert extract_kernels(t1 + t2) == extract_kernels(t1) + extract_kernels(t2)
 
 
-def test_stratum_extraction_matches_filtered_full_extraction():
-    """Reading one (l, m) stratum gives that stratum's entries of the full
-    extraction, from the whole table and from a partial table that stores
-    only the rows of total degree at most m (the shape the table route of
-    the coboundary builds), at arities 1 to 3 and with l != m."""
+def _fits(lower: MultiIndex, upper: MultiIndex) -> bool:
+    return all(lower.multiplicity(mode) <= upper.multiplicity(mode) for mode in lower.modes())
+
+
+def test_extraction_is_exact_on_a_downward_closed_row_set():
+    """A table stored only on a downward-closed row set R, with values
+    truncated to a window, reads the family's own entries at every slot
+    tuple in R and output degree in the window.  R is the ball of total
+    degree at most m and one entry content's closure, at arities 1 to 3,
+    with windows of degree max(l, m) for l == m and l != m."""
     rng = Random(101)
     seen = set()
     for arity, caps, rounds in ((1, TruncationCaps(2, 3), 10), (2, TruncationCaps(2, 3), 6),
                                 (3, TruncationCaps(2, 2), 4)):
+        modes = range(caps.max_mode)
         for _ in range(rounds):
-            family = rand_kernel_family(rng, arity, 2, caps.max_degree)
-            table = reconstruct(family, caps)
-            full = extract_kernels(table)
-            assert full == family
-            for l, m in {(l, sum(m_tuple)) for l, m_tuple in full.blocks}:
-                expected = KernelFamily.from_entries(
-                    arity,
-                    [
-                        (creation, slots, coeff)
-                        for (creation, slots), coeff in full.entries()
-                        if (creation.degree, sum(j.degree for j in slots)) == (l, m)
-                    ],
-                )
-                partial = BasisActionTable(arity, caps, {
-                    row: value for row, value in table.action.items()
-                    if sum(label.degree for label in row) <= m
-                })
-                assert extract_kernels(table, stratum=(l, m)) == expected
-                assert extract_kernels(partial, stratum=(l, m)) == expected
+            family = rand_kernel_family(rng, arity, caps.max_mode, caps.max_degree)
+            for (creation, slots), _ in family.entries():
+                l, m = creation.degree, sum(j.degree for j in slots)
+                window = TruncationCaps(caps.max_mode, max(l, m))
+                content = functools.reduce(MultiIndex.concat, slots, VACUUM)
+                ball = set(iter_index_tuples(arity, m, modes))
+                closure = {
+                    row for row in ball
+                    if _fits(functools.reduce(MultiIndex.concat, row, VACUUM), content)
+                }
+                for rows in (ball, closure):
+                    table = BasisActionTable(arity, window, {
+                        row: truncate(apply_kernel(family, [FockVector.basis(a) for a in row]),
+                                      window)
+                        for row in rows
+                    })
+                    read = extract_kernels(table)
+                    expected = {
+                        key: c for key, c in family.terms.items()
+                        if key[1] in rows and key[0].degree <= window.max_degree
+                    }
+                    assert (creation, slots) in expected
+                    assert {k: c for k, c in read.terms.items() if k[1] in rows} == expected
                 seen.add((arity, l == m))
     assert seen == {(arity, same) for arity in (1, 2, 3) for same in (True, False)}
-

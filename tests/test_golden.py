@@ -48,6 +48,7 @@ CASES = {
         "--at", _in("xi.json"), "--at", _in("eta.json"), "--at", _in("xi.json"),
     ],
     "expand_table": ["expand", _in("table_2.json")],
+    "expand_repeated_rows": ["expand", _in("table_repeated.json")],
     "expand_kernel": ["expand", _in("kernel_1.json"), "--max-mode", "2", "--max-degree", "3"],
     "expand_edge": ["expand", _in("kernel_edge.json"), "--max-mode", "2", "--max-degree", "2"],
     "delta_kernel": ["delta", _in("kernel_1.json")],

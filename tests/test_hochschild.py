@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from collections import Counter
@@ -193,19 +194,38 @@ def test_table_coboundary_evaluates_each_argument_once(monkeypatch, family):
     assert {labels for _, labels in calls} == _arguments_read(rows)
 
 
-@pytest.mark.parametrize("r, l, m", [(1, 1, 2), (2, 0, 2)])
-def test_table_route_matrix_evaluates_each_argument_once_per_column(monkeypatch, r, l, m):
+def _under(row, content):
+    """Whether the labels of the row concatenate to at most the content."""
+    total = functools.reduce(MultiIndex.concat, row, VACUUM)
+    return all(total.multiplicity(mode) <= content.multiplicity(mode) for mode in total.modes())
+
+
+@pytest.mark.parametrize("r, l, m, block", [
+    (1, 1, 2, None),
+    (2, 0, 2, None),
+    (1, 1, 2, (mi([(0, 1)]), mi([(0, 1), (1, 1)]))),
+    (2, 0, 2, (VACUUM, mi([(1, 2)]))),
+], ids=["1-1-2", "2-0-2", "1-1-2-block", "2-0-2-block"])
+def test_table_route_matrix_evaluates_each_argument_once_per_column(
+    monkeypatch, r, l, m, block
+):
+    """Each column evaluates X once on every label tuple the defining formula
+    reads from the rows under the matrix's contents: every tuple of total
+    degree <= m for the stratum, the block content's closure for a block."""
     caps = TruncationCaps(2, l + m + r + 1)
     calls = _count_kernel_calls(monkeypatch)
-    matrix = coboundary_matrix(r, l, m, caps, route="table")
+    matrix = coboundary_matrix(r, l, m, caps, route="table", block=block)
     labels = [a for a in basis_labels(caps) if a.degree <= m]
     rows = [
         row
         for row in itertools.product(labels, repeat=r + 1)
-        if sum(a.degree for a in row) <= m
+        if sum(a.degree for a in row) <= m and (block is None or _under(row, block[1]))
     ]
     read = _arguments_read(rows)
-    columns = [(key,) for key in stratum_basis(r, l, m, caps)]
+    columns = [
+        (key,) for key in stratum_basis(r, l, m, caps)
+        if block is None or (key[0] == block[0] and _under(key[1], block[1]))
+    ]
     assert not matrix.is_zero()
     assert len(calls) == len(columns) * len(read)
     assert set(calls) == {(column, labels) for column in columns for labels in read}
@@ -543,6 +563,19 @@ def test_gate_catches_an_entry_moved_to_another_block(monkeypatch):
     monkeypatch.setattr(hochschild, "kernel_coboundary", moved)
     with pytest.raises(ComplexInconsistencyError, match="left the block"):
         cohomology_report(1, 1, 2, TruncationCaps(2, 5))
+
+
+def test_table_route_gate_catches_an_entry_moved_to_another_block(monkeypatch):
+    """On the table route, an image entry whose creation index leaves the
+    block fails the report, although the route reads only the block's rows."""
+    def moved(family, args):
+        swapped = [(mi([(1 - mode, k) for mode, k in index.pairs]), c)
+                   for index, c in apply_kernel(family, args).terms.items()]
+        return FockVector(swapped)
+
+    monkeypatch.setattr(hochschild, "apply_kernel", moved)
+    with pytest.raises(ComplexInconsistencyError, match="left the block"):
+        cohomology_report(1, 1, 2, TruncationCaps(2, 5), route="table")
 
 
 def test_cohomology_report_cocycles_are_cocycles():

@@ -420,6 +420,32 @@ def test_table_values_must_fit_caps():
         BasisActionTable(1, caps, {(mi([(0, 1)]),): e(mi([(0, 3)]))})
 
 
+def test_table_rows_given_twice_add():
+    """A table is a sparse map like every other: a row given twice, in the
+    constructor or in JSON, holds the sum of its values, and a sum of zero
+    drops the row."""
+    caps = TruncationCaps(2, 2)
+    a, b = mi([(0, 1)]), mi([(1, 1)])
+    pairs = [((a,), e(a)), ((b,), e(a)), ((a,), e(b) * Scalar(1, 2)), ((b,), -e(a))]
+    table = BasisActionTable(1, caps, pairs)
+    assert table == BasisActionTable(1, caps, {(a,): e(a) + e(b) * Scalar(1, 2)})
+    data = table.to_json()
+    data["rows"] += [{"args": [a.to_json()], "value": e(a).to_json()}]
+    twice_a = BasisActionTable(1, caps, {(a,): e(a) * 2 + e(b) * Scalar(1, 2)})
+    assert BasisActionTable.from_json(data) == twice_a
+
+
+def test_tables_combine_only_on_equal_caps():
+    table = BasisActionTable(1, TruncationCaps(2, 2), {(VACUUM,): e(VACUUM)})
+    wider = BasisActionTable(1, TruncationCaps(2, 3), {(VACUUM,): e(VACUUM)})
+    assert table != wider
+    assert (table + table) == table * 2 and (table - table).is_zero()
+    with pytest.raises(ValueError, match="equal caps"):
+        table + wider
+    with pytest.raises(ArityError):
+        table + BasisActionTable(2, TruncationCaps(2, 2), {(VACUUM, VACUUM): e(VACUUM)})
+
+
 def test_kernel_multilinearity():
     rng = Random(53)
     for _ in range(20):

@@ -7,7 +7,7 @@ import wickfock.symbolcalc as symbolcalc
 from wickfock.checks import rand_kernel_family, rand_scalar, rand_test_vector
 from wickfock.errors import ArityError, TruncationError
 from wickfock.fock import TestVector, TruncationCaps
-from wickfock.multiindex import VACUUM, MultiIndex
+from wickfock.multiindex import VACUUM, MultiIndex, indices_up_to
 from wickfock.operators import BasisActionTable, KernelFamily, table_from_kernel
 from wickfock.scalars import ONE, ZERO, Scalar
 from wickfock.symbolcalc import (
@@ -235,6 +235,26 @@ def test_exp_bracket_series_is_built_once_per_window():
     assert shared == symbolcalc._exp_bracket_series.__wrapped__(2, 2, 3, True)
     assert shared.caps == caps
     assert exp_bracket_poly(2, caps) != shared
+
+
+@pytest.mark.parametrize("arity, max_mode, max_degree", [
+    (1, 1, 4), (1, 3, 3), (2, 2, 3), (3, 2, 3), (4, 2, 5),
+])
+def test_exp_bracket_series_is_the_product_of_its_factors(arity, max_mode, max_degree):
+    """The one-pass series equals prod_j exp(+-sum_i x_i^(j) y_i), built as
+    the product of one single-slot factor per slot on the window."""
+    caps = TruncationCaps(max_mode, max_degree)
+    for negate in (False, True):
+        sign = -1 if negate else 1
+        product = SymbolPolynomial.one(arity)
+        for slot in range(arity):
+            factor = SymbolPolynomial(arity, {
+                (tuple(t if j == slot else VACUUM for j in range(arity)), t):
+                    Scalar(Fraction(sign ** t.degree, t.pairing_weight))
+                for t in indices_up_to(max_degree, range(max_mode))
+            })
+            product = product.mul(factor, region=caps)
+        assert exp_bracket_poly(arity, caps, negate) == product
 
 
 def test_ring_axioms_random():
