@@ -76,6 +76,7 @@ CASES = {
     "cohomology_r0": ["cohomology", "--r", "0", "--l", "2", "--m", "0", "--modes", "2"],
     "cohomology_kernel_modes4": ["cohomology", "--r", "2", "--l", "0", "--m", "2", "--modes", "4"],
     "cohomology_kernel_r4": ["cohomology", "--r", "4", "--l", "0", "--m", "4", "--modes", "1"],
+    "cohomology_kernel_r3": ["cohomology", "--r", "3", "--l", "1", "--m", "3", "--modes", "2"],
     "check_all": ["check", "--suite", "all", "--cases", "3"],
     "check_help": ["check", "--help"],
 }
