@@ -20,8 +20,11 @@ no entry has a creation or slot degree above caps.max_degree (which is why
 the ``expand`` command marks every block ``"reliable": true``).  The same
 argument reads a table stored only on a downward-closed set R of rows: the
 coefficient at slots (J_1, ..., J_r) reads only rows with A_j <= J_j, so each
-entry whose slot tuple is in R is exact.  The table route of the coboundary
-reads its matrices that way.
+entry whose slot tuple is in R is exact.  Likewise the coefficient at output
+degree k reads only output levels <= k (the exponential is 1 plus terms that
+raise the output degree), so the division can stop at any output degree.  The
+table route of the coboundary reads its matrices both ways: on its rows, and
+up to the stratum's output degree l.
 """
 
 from __future__ import annotations
@@ -31,13 +34,14 @@ from .operators import BasisActionTable, KernelFamily, table_from_kernel
 from .symbolcalc import reduced_symbol, symbol_poly
 
 
-def extract_kernels(table: BasisActionTable) -> KernelFamily:
+def extract_kernels(table: BasisActionTable, *, max_output=None) -> KernelFamily:
     """Read the kernel family off the table's reduced symbol.
 
     Each monomial with slot exponents (J_1, ..., J_r) and output exponent I
-    becomes the entry (I, (J_1, ..., J_r)).
+    becomes the entry (I, (J_1, ..., J_r)).  ``max_output`` keeps only the
+    entries of creation degree up to it.
     """
-    reduced = reduced_symbol(symbol_poly(table))
+    reduced = reduced_symbol(symbol_poly(table), max_output=max_output)
     return KernelFamily(
         table.arity, {(eta, slots): coeff for (slots, eta), coeff in reduced.terms.items()}
     )

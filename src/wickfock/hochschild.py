@@ -24,7 +24,8 @@ Two realizations are provided and must agree:
   ``_delta_table`` is that tabulator, for the window (``table_coboundary``)
   and for a stratum or block matrix (``_table_route_delta``).  A matrix
   reads the rows under its contents: every (r+1)-tuple whose concatenation
-  is at most a content, a downward-closed set, computed once per matrix.
+  is at most a content, a downward-closed set, computed once per matrix;
+  and it divides the symbol only up to the output degree l it keeps.
 
 Zero-cochains are algebra elements; the algebra is commutative, so their
 coboundary (the commutator cochain) vanishes identically: every column of an
@@ -41,9 +42,12 @@ keys (I, s), s running over the sorted r-tuples of slots that concatenate to
 the content, with no pass over the stratum.  The delta o delta gate, the
 ranks and the nullspaces are computed per block, and an image that leaves
 its block fails the gate as one leaving the stratum does.  The kernel route
-never reads I, so there it is the content alone that fixes a block's matrix:
-one block per content is built, gated and eliminated, and the result is
-relabelled onto the blocks of the other creation indices.  The table route
+never reads I, and reads a content only through its multiplicities in mode
+order (the binomial weights; the signs read slot positions), and an
+order-keeping map of modes keeps the sorted order of slot tuples.  So blocks
+whose contents share that sequence have equal matrices: one block per
+sequence is built, gated and eliminated, and the result is relabelled onto
+the others; (2, 1) and (1, 2) are different sequences.  The table route
 builds and gates every block, because its independence is what cross-checks
 the kernel route.  The cocycles of all blocks are ordered by the key of
 their last nonzero entry, which is their order in the sorted stratum basis.
@@ -305,12 +309,13 @@ def _table_route_delta(
     family: KernelFamily, caps: TruncationCaps, l: int, m: int, rows: set
 ) -> KernelFamily:
     """Coboundary through tables: evaluate the defining formula on ``rows``,
-    truncate to the degree-max(l, m) window, and keep the extracted entries
-    whose slot tuple is a row.  The reduced-symbol coefficient at slots J
-    reads only rows <= J, and ``rows`` is downward closed, so every kept
-    entry is exact."""
+    truncate to the degree-max(l, m) window, extract up to output degree l,
+    and keep the extracted entries whose slot tuple is a row.  The
+    reduced-symbol coefficient at slots J and output degree k reads only rows
+    <= J and output levels <= k, and ``rows`` is downward closed, so every
+    kept entry is exact; one of output degree below l leaves the stratum."""
     table = _delta_table(family, TruncationCaps(caps.max_mode, max(l, m)), rows)
-    image = extract_kernels(table)
+    image = extract_kernels(table, max_output=l)
     return image._like({key: c for key, c in image.terms.items() if key[1] in rows})
 
 
@@ -383,11 +388,12 @@ def cohomology_report(
     equal those of the whole block-diagonal matrix; the cocycles are ordered
     by the key of each vector's last nonzero entry, its free column.
 
-    The keys of the blocks of one content differ only in I, in the same
-    order, so on the kernel route the first block of each content is solved
-    and its rank and nullspace are relabelled onto the keys of the others;
-    the table route solves every block.  delta^0 = 0, so at r = 0 every
-    element is a cocycle and none is listed.
+    On the kernel route blocks whose contents have the same multiplicities
+    in mode order have equal matrices, with keys that correspond position by
+    position, so the first block of each sequence is solved and its rank and
+    nullspace are relabelled onto the keys of the others; the table route
+    solves every block.  delta^0 = 0, so at r = 0 every element is a
+    cocycle and none is listed.
     """
     _check_caps(r, l, m, caps)
     if r == 0:
@@ -400,7 +406,7 @@ def cohomology_report(
     for creation in indices_of_degree(l, modes):
         for content in indices_of_degree(m, modes):
             block = creation, content
-            shared = content if route == "kernel" else block
+            shared = tuple(k for _, k in content.pairs) if route == "kernel" else block
             if shared not in solved:
                 matrix = coboundary_matrix(r, l, m, caps, route, block)
                 previous = coboundary_matrix(r - 1, l, m, caps, route, block)

@@ -19,6 +19,10 @@ consumes coefficients at componentwise-smaller exponents, and the window is
 downward closed.  The same argument makes it exact on any smaller window, so
 a caller that reads only low-degree monomials passes that window and nothing
 outside it is ever formed; a window wider than the polynomial's own is refused.
+The coupling factor is 1 plus terms that raise the output degree, so the
+quotient at output degree k reads only output levels <= k: a caller that
+keeps only low output degrees passes an output bound, and the division
+stops there while the slot degrees keep the window's bound.
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ class SymbolPolynomial(_SparseMap):
         bound = region.max_degree if region is not None else math.inf
         acc: dict[TermKey, Scalar] = {}
         right = sorted(other.terms.items(), key=_output_degree)
-        for key, value in _products(self.terms.items(), right, bound):
+        for key, value in _products(self.terms.items(), right, bound, bound):
             _add_term(acc, key, value)
         return SymbolPolynomial._raw(self.arity, acc, region or self.caps or other.caps)
 
@@ -173,14 +177,15 @@ def _output_degree(term) -> int:
     return term[0][1].degree
 
 
-def _products(left, right: list, bound):
+def _products(left, right: list, bound, output_bound):
     """(key, coefficient) of each product of a ``left`` and a ``right`` term
-    whose slot and output degrees all fit ``bound``.  Degrees add, so the
-    right terms, sorted by output degree, are visited until one overshoots.
+    whose slot degrees fit ``bound`` and whose output degree fits
+    ``output_bound``.  Degrees add, so the right terms, sorted by output
+    degree, are visited until one overshoots.
     ``left`` is read one term at a time, after the products of the term
     before, so a caller may add products into terms it has yet to read."""
     for (slots_a, eta_a), ca in left:
-        room = bound - eta_a.degree
+        room = output_bound - eta_a.degree
         room_slots = [bound - u.degree for u in slots_a]
         for (slots_b, eta_b), cb in right:
             if eta_b.degree > room:
@@ -260,7 +265,7 @@ def _exp_bracket_series(
 
 
 def reduced_symbol(
-    poly: SymbolPolynomial, caps: TruncationCaps | None = None
+    poly: SymbolPolynomial, caps: TruncationCaps | None = None, *, max_output=None
 ) -> SymbolPolynomial:
     """Divide out the coupling exponential, truncated to the window.
 
@@ -276,6 +281,10 @@ def reduced_symbol(
     A narrower ``caps`` reads only that sub-window, which is downward closed
     and so exact too; a wider one would return monomials the polynomial's own
     window cannot determine, and raises TruncationError.
+
+    ``max_output`` keeps only the output levels up to it (and up to
+    caps.max_degree).  Quotient level k reads only levels <= k, so those
+    levels are exact, and nothing above them is formed.
     """
     if poly.caps is not None and caps is not None and (
         caps.max_mode > poly.caps.max_mode or caps.max_degree > poly.caps.max_degree
@@ -285,13 +294,16 @@ def reduced_symbol(
     if caps is None:
         raise ValueError("reduced_symbol needs caps (none stored on the polynomial)")
     bound = caps.max_degree
-    levels: list[dict[TermKey, Scalar]] = [{} for _ in range(bound + 1)]
+    top = bound if max_output is None else min(bound, max_output)
+    levels: list[dict[TermKey, Scalar]] = [{} for _ in range(top + 1)]
     for (slots, eta), coeff in poly.terms.items():
-        if eta.degree <= bound and all(u.degree <= bound for u in slots):
+        if eta.degree <= top and all(u.degree <= bound for u in slots):
             levels[eta.degree][(slots, eta)] = coeff
-    # the constant term 1 is the only one of output degree 0, so it sorts first
-    tail = sorted(exp_bracket_poly(poly.arity, caps).terms.items(), key=_output_degree)[1:]
+    # E's output degree is its total degree, so its terms past ``top`` are
+    # never used; the constant term 1 is the only one of output degree 0
+    series = exp_bracket_poly(poly.arity, TruncationCaps(caps.max_mode, top))
+    tail = sorted(series.terms.items(), key=_output_degree)[1:]
     quotient = (term for level in levels for term in level.items())
-    for key, value in _products(quotient, tail, bound):
+    for key, value in _products(quotient, tail, bound, top):
         _add_term(levels[key[1].degree], key, -value)
     return SymbolPolynomial._raw(poly.arity, dict(kv for lv in levels for kv in lv.items()), caps)

@@ -503,24 +503,66 @@ def test_arity_zero_block_of_a_nonvacuum_content_has_no_columns():
 SMALL_STRATA = list(itertools.product((2, 3), (1, 2), (1, 2), (1, 2)))  # modes, r, l, m
 
 
-def test_kernel_route_block_matrices_of_one_content_are_equal_for_every_creation():
-    for modes, r, l, m in SMALL_STRATA:
+# SMALL_STRATA and two rungs of the benchmark's cohomology ladder: 3-mode
+# contents of two shapes at arity 3, and 4-mode contents at arity 2.
+LADDER_STRATA = SMALL_STRATA + [(2, 3, 1, 3), (4, 2, 1, 2)]
+
+
+def _sequence(content):
+    """The multiplicities of a content in mode order: e_0^2 e_1 and
+    e_1^2 e_2 give (2, 1), e_0 e_1^2 gives (1, 2)."""
+    return tuple(k for _, k in content.pairs)
+
+
+def _assert_kernel_block_matrices_depend_only_on_the_sequence(strata):
+    """Every kernel-route block matrix equals the one of each block whose
+    content has the same multiplicity sequence, at arities r - 1 and r.
+    Returns how many sequences have blocks of more than one content."""
+    merged = 0
+    for modes, r, l, m in strata:
         caps = TruncationCaps(modes, l + m + r + 1)
         for arity in (r - 1, r):
-            by_content = {}
+            by_content, by_sequence = {}, {}
             for creation, content in _block_positions(stratum_basis(arity, l, m, caps)):
-                by_content.setdefault(content, []).append(
-                    coboundary_matrix(arity, l, m, caps, block=(creation, content))
-                )
+                matrix = coboundary_matrix(arity, l, m, caps, block=(creation, content))
+                by_content.setdefault(content, []).append(matrix)
+                by_sequence.setdefault(_sequence(content), []).append((content, matrix))
             for matrices in by_content.values():
                 assert len(matrices) == math.comb(modes + l - 1, l)
-                assert all(matrix == matrices[0] for matrix in matrices)
+            for pairs in by_sequence.values():
+                assert all(matrix == pairs[0][1] for _, matrix in pairs)
+                merged += len({content for content, _ in pairs}) > 1
+    return merged
+
+
+def test_kernel_route_block_matrices_of_one_content_are_equal_for_every_creation():
+    """The premise of the report's sharing: the kernel route never reads I,
+    and reads a content only through its multiplicities in mode order, so
+    blocks of one creation or of one sequence have equal matrices."""
+    assert _assert_kernel_block_matrices_depend_only_on_the_sequence(LADDER_STRATA) > 0
+
+
+def test_sharing_premise_test_fails_on_a_mode_dependent_weight(monkeypatch):
+    """A coboundary weight that reads which mode carries a multiplicity
+    breaks the premise.  The report reuses one solve per sequence and so
+    would print dims for such a bug; the premise test must catch it."""
+    real = hochschild.binomial_product
+
+    def mode_dependent(upper, lower):
+        return real(upper, lower) * (3 if any(mode == 2 for mode, _ in upper.pairs) else 1)
+
+    monkeypatch.setattr(hochschild, "binomial_product", mode_dependent)
+    with pytest.raises(AssertionError):
+        _assert_kernel_block_matrices_depend_only_on_the_sequence(LADDER_STRATA)
 
 
 @pytest.mark.parametrize("route", ["kernel", "table"])
-def test_report_builds_one_block_per_content_on_the_kernel_route_only(monkeypatch, route):
-    """The kernel route builds the two matrices of one block per content and
-    relabels its solution; the table route still builds every block."""
+def test_report_builds_one_block_per_multiplicity_sequence_on_the_kernel_route_only(
+    monkeypatch, route
+):
+    """The kernel route builds the two matrices of one block per ordered
+    multiplicity sequence and relabels its solution; the table route still
+    builds every block."""
     real = hochschild.coboundary_matrix
     built = []
 
@@ -529,6 +571,7 @@ def test_report_builds_one_block_per_content_on_the_kernel_route_only(monkeypatc
         return real(r, l, m, caps, route, block)
 
     monkeypatch.setattr(hochschild, "coboundary_matrix", counted)
+    merged = 0
     for modes, r, l, m in SMALL_STRATA:
         built.clear()
         caps = TruncationCaps(modes, l + m + r + 1)
@@ -538,13 +581,41 @@ def test_report_builds_one_block_per_content_on_the_kernel_route_only(monkeypatc
             *_block_positions(stratum_basis(r, l, m, caps)),
         ])
         contents = {content for _, content in blocks}
-        assert len(blocks) > len(contents)
+        sequences = {_sequence(content) for content in contents}
+        assert len(blocks) > len(contents) >= len(sequences)
+        merged += len(contents) > len(sequences)
         outgoing = [block for arity, block in built if arity == r]
         assert Counter(block for arity, block in built if arity == r - 1) == Counter(outgoing)
         if route == "kernel":
-            assert Counter(content for _, content in outgoing) == Counter(contents)
+            assert Counter(_sequence(content) for _, content in outgoing) == Counter(sequences)
         else:
             assert Counter(outgoing) == Counter(list(blocks))
+    assert merged > 0
+
+
+def test_kernel_report_equals_a_solve_of_every_block():
+    """Oracle for the sharing: eliminate every block's own pair of matrices,
+    with no reuse, and assemble dims and cocycles in stratum key order."""
+    for modes, r, l, m in LADDER_STRATA:
+        caps = TruncationCaps(modes, l + m + r + 1)
+        rank_prev = sum(
+            rank_nullspace(coboundary_matrix(r - 1, l, m, caps, block=block))[0]
+            for block in _block_positions(stratum_basis(r - 1, l, m, caps))
+        )
+        basis = stratum_basis(r, l, m, caps)
+        cocycles = []
+        for block, positions in _block_positions(basis).items():
+            _, null_basis = rank_nullspace(coboundary_matrix(r, l, m, caps, block=block))
+            for vector in null_basis:
+                support = [(basis[positions[j]], c) for j, c in enumerate(vector) if c]
+                cocycles.append((support[-1][0], KernelFamily(r, support)))
+        cocycles.sort(key=lambda pair: pair[0])
+        assert cohomology_report(r, l, m, caps, route="kernel") == {
+            "dim_ker": len(cocycles),
+            "dim_im_prev": rank_prev,
+            "dim_H": len(cocycles) - rank_prev,
+            "cocycles": [family for _, family in cocycles],
+        }, (modes, r, l, m)
 
 
 def test_gate_catches_an_entry_moved_to_another_block(monkeypatch):

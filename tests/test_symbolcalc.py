@@ -6,7 +6,7 @@ import pytest
 import wickfock.symbolcalc as symbolcalc
 from wickfock.checks import rand_kernel_family, rand_scalar, rand_test_vector
 from wickfock.errors import ArityError, TruncationError
-from wickfock.fock import TestVector, TruncationCaps
+from wickfock.fock import FockVector, TestVector, TruncationCaps
 from wickfock.multiindex import VACUUM, MultiIndex, indices_up_to
 from wickfock.operators import BasisActionTable, KernelFamily, table_from_kernel
 from wickfock.scalars import ONE, ZERO, Scalar
@@ -209,6 +209,35 @@ def test_reduced_symbol_divides_by_the_exponential_on_any_polynomial():
             arity, in_region
         )
     assert outside > 10 and multiple > 10
+
+
+def test_reduced_symbol_output_cut_is_the_full_quotient_restricted():
+    """Stopping the division at output degree k gives the full quotient's
+    terms of output degree <= k, and nothing else: quotient level k reads
+    only levels <= k.  The tables are random families' plus a random table,
+    so the full quotients have terms above every cut."""
+    rng = Random(151)
+    cut_terms = 0
+    for _ in range(20):
+        arity = rng.randint(1, 2)
+        caps = TruncationCaps(rng.randint(1, 3), rng.randint(2, 4))
+        table = table_from_kernel(rand_kernel_family(rng, arity, caps.max_mode, 3), caps)
+        labels = indices_up_to(caps.max_degree, range(caps.max_mode))
+        noise = BasisActionTable(arity, caps, [
+            (
+                tuple(rng.choice(labels) for _ in range(arity)),
+                FockVector([(rng.choice(labels), rand_scalar(rng)) for _ in range(2)]),
+            )
+            for _ in range(3)
+        ])
+        poly = symbol_poly(table + noise)
+        full = reduced_symbol(poly)
+        for k in range(caps.max_degree + 2):
+            cut = reduced_symbol(poly, max_output=k)
+            kept = {key: c for key, c in full.terms.items() if key[1].degree <= k}
+            assert cut.terms == kept
+            cut_terms += len(full.terms) - len(kept)
+    assert cut_terms > 100
 
 
 def test_wick_cochain_symbol_is_truncated_exponential():
