@@ -557,11 +557,10 @@ def test_sharing_premise_test_fails_on_a_mode_dependent_weight(monkeypatch):
 
 
 @pytest.mark.parametrize("route", ["kernel", "table"])
-def test_report_builds_one_block_per_multiplicity_sequence_on_the_kernel_route_only(
-    monkeypatch, route
-):
-    """The kernel route builds the two matrices of one block per ordered
-    multiplicity sequence and relabels its solution; the table route still
+def test_report_builds_one_block_per_content_on_the_kernel_route_only(monkeypatch, route):
+    """The kernel route builds the two matrices of at most one block per
+    content: one per ordered multiplicity sequence, whose solution it
+    relabels onto every block of that sequence.  The table route still
     builds every block."""
     real = hochschild.coboundary_matrix
     built = []
