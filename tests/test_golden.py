@@ -55,6 +55,7 @@ CASES = {
     "delta_table": ["delta", _in("kernel_1.json"), "--route", "table"],
     "delta_kernel_2": ["delta", _in("kernel_2.json")],
     "delta_table_2": ["delta", _in("kernel_2_mode0.json"), "--route", "table"],
+    "delta_table_mixed": ["delta", _in("kernel_2_mixed.json"), "--route", "table"],
     "delta_table_caps": [
         "delta", _in("kernel_1.json"), "--route", "table", "--max-mode", "1", "--max-degree", "5",
     ],
