@@ -20,7 +20,9 @@ Two realizations are provided and must agree:
   zero after truncation and are not evaluated.  Neighbouring rows read X on
   the same tuples of basis labels, so X is read from a table of its values
   that lives for one coboundary call, each tuple evaluated once through
-  ``apply_kernel``, and the r + 2 terms of a row are added into one map.
+  ``apply_kernel``.  Within the call each label is an int id, each
+  concatenation is made once per pair of ids, and the r + 2 terms of a row
+  are added into one id-keyed map; only the row's value goes back to labels.
   ``_delta_table`` is that tabulator, for the window (``table_coboundary``)
   and for a stratum or block matrix (``_table_route_delta``).  A matrix
   reads the rows under its contents: every (r+1)-tuple whose concatenation
@@ -57,7 +59,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from .errors import ComplexInconsistencyError, TruncationError
 from .expansion import extract_kernels
@@ -114,40 +115,54 @@ def kernel_coboundary(family: KernelFamily) -> KernelFamily:
 # -- coboundary, table route -----------------------------------------------------
 
 
-def _delta_value(value_of: Callable[[tuple], FockVector], row: tuple) -> FockVector:
-    """The defining alternating sum on one tuple of basis labels, its r + 2
-    terms added into one coefficient map; ``value_of`` gives X on labels."""
-    r = len(row) - 1
-    acc: dict = {}
-    first, last = row[0], row[r]
-    sign = _term_sign(0)
-    for label, c in value_of(row[1:]).terms.items():
-        _add_term(acc, first.concat(label), c * sign)
-    for i in range(1, r + 1):
-        sign = _term_sign(i)
-        merged = row[: i - 1] + (row[i - 1].concat(row[i]),) + row[i + 1 :]
-        for label, c in value_of(merged).terms.items():
-            _add_term(acc, label, c * sign)
-    sign = _term_sign(r + 1)
-    for label, c in value_of(row[:r]).terms.items():
-        _add_term(acc, label.concat(last), c * sign)
-    return FockVector._raw(acc)
-
-
 def _delta_table(family: KernelFamily, caps: TruncationCaps, rows) -> BasisActionTable:
-    """The coboundary of ``family`` on ``rows``, truncated to caps.  X is read
-    from a table of its values that lives for this call, each label tuple
-    evaluated once, through ``apply_kernel``."""
+    """The coboundary of ``family`` on ``rows`` by the defining alternating
+    sum, truncated to caps.  Labels are int ids for this call: those of rows,
+    of merged labels u_i u_{i+1} and of X's values, which are lists of
+    (id, coefficient) pairs, one ``apply_kernel`` call per label tuple.  A
+    term of sign 1 is added as it is, every other one times its sign."""
+    r = family.arity
+    signs = [_term_sign(i) for i in range(r + 2)]
+    ids: dict = {}
+    labels: list = []
+    joined: dict = {}
     values: dict = {}
 
-    def value_of(labels: tuple) -> FockVector:
-        value = values.get(labels)
+    def intern(label: MultiIndex) -> int:
+        i = ids.get(label)
+        if i is None:
+            i = ids[label] = len(labels)
+            labels.append(label)
+        return i
+
+    def concat(a: int, b: int) -> int:
+        c = joined.get((a, b))
+        if c is None:
+            c = joined[a, b] = intern(labels[a].concat(labels[b]))
+        return c
+
+    def value_of(args: tuple) -> list:
+        value = values.get(args)
         if value is None:
-            value = apply_kernel(family, [FockVector.basis(a) for a in labels])
-            values[labels] = value
+            x = apply_kernel(family, [FockVector.basis(labels[a]) for a in args])
+            value = values[args] = [(intern(label), c) for label, c in x.terms.items()]
         return value
 
-    return _tabulate(family.arity + 1, caps, rows, lambda row: _delta_value(value_of, row))
+    def delta(row: tuple) -> FockVector:
+        u = tuple(map(intern, row))
+        acc: dict = {}
+        for i, sign in enumerate(signs):
+            if 0 < i <= r:  # X(..., u_i u_{i+1}, ...)
+                args, outer = u[: i - 1] + (concat(u[i - 1], u[i]),) + u[i + 1 :], None
+            else:  # u_1 X(u_2, ...) or X(..., u_r) u_{r+1}
+                args, outer = (u[1:], u[0]) if i == 0 else (u[:r], u[r])
+            for k, c in value_of(args):
+                if outer is not None:
+                    k = concat(outer, k)
+                _add_term(acc, k, c if sign == 1 else c * sign)
+        return FockVector._raw({labels[k]: c for k, c in acc.items()})
+
+    return _tabulate(r + 1, caps, rows, delta)
 
 
 def table_coboundary(cochain: Cochain) -> BasisActionTable:
@@ -414,13 +429,15 @@ def cohomology_report(
                     raise ComplexInconsistencyError(
                         f"delta o delta != 0 at (r, l, m) = ({r}, {l}, {m}) in block {block}"
                     )
-                solved[shared] = rank_nullspace(previous)[0], rank_nullspace(matrix)[1]
-            block_rank_prev, null_vectors = solved[shared]
+                null_vectors = rank_nullspace(matrix)[1]
+                supports = [[(j, c) for j, c in enumerate(v) if c] for v in null_vectors]
+                solved[shared] = rank_nullspace(previous)[0], supports
+            block_rank_prev, supports = solved[shared]
             rank_prev += block_rank_prev
             slots = _splits(content, r)
-            for vector in null_vectors:
-                support = [((creation, slots[j]), c) for j, c in enumerate(vector) if c]
-                cocycles.append((support[-1][0], KernelFamily(r, support)))
+            for support in supports:
+                terms = [((creation, slots[j]), c) for j, c in support]
+                cocycles.append((terms[-1][0], KernelFamily(r, terms)))
     cocycles.sort(key=lambda pair: pair[0])
     return {
         "dim_ker": len(cocycles),

@@ -194,6 +194,51 @@ def test_table_coboundary_evaluates_each_argument_once(monkeypatch, family):
     assert {labels for _, labels in calls} == _arguments_read(rows)
 
 
+def test_table_coboundary_applies_the_sign_hook_to_every_term(monkeypatch):
+    """A term of sign 1 is added unmultiplied; every other value the hook
+    returns must still scale its term.  With a hook of 2 (-1)^i the table is
+    twice the true one, which an accumulator that reads the hook only for
+    its sign would miss."""
+    rng = Random(127)
+    families = ONE_STRATUM_FAMILIES + [
+        rand_kernel_family(rng, rng.randint(1, 2), 2, 2, max_entries=3) for _ in range(10)
+    ]
+    cochains = []
+    for family in families:
+        top = max(l + m for l, m in family.strata())
+        cochains.append(Cochain.from_kernels(family, TruncationCaps(2, top + family.arity + 1)))
+    expected = [table_coboundary(cochain) * 2 for cochain in cochains]
+    assert not all(table.is_zero() for table in expected)
+    monkeypatch.setattr(hochschild, "_term_sign", lambda i: 2 * (-1) ** i)
+    assert [table_coboundary(cochain) for cochain in cochains] == expected
+
+
+@pytest.mark.parametrize("patterns", [
+    [(mi([(1, 1)]), (mi([(0, 2)]),)), (VACUUM, (mi([(0, 1), (1, 1)]),))],
+    [(mi([(0, 1)]), (VACUUM, VACUUM)), (VACUUM, (VACUUM, mi([(1, 1)])))],
+], ids=["arity1", "arity2"])
+def test_table_coboundary_keeps_no_state_between_calls(patterns):
+    """Tabulating family A, then B, then A again on the same caps and rows
+    gives each family's own table every time: A and B share their entry
+    patterns, so anything the tabulator kept from one call, keyed without
+    the family, would leak into the next."""
+    arity = len(patterns[0][1])
+    top = max(i.degree + sum(j.degree for j in js) for i, js in patterns)
+    caps = TruncationCaps(2, top + arity + 1)
+    rows = list(itertools.product(basis_labels(caps), repeat=arity + 1))
+    first, second = (
+        KernelFamily.from_entries(arity, [p + (c,) for p, c in zip(patterns, coeffs)])
+        for coeffs in ((ONE, Scalar(0, 3)), (Scalar(-2, 1), Scalar(1, 2)))
+    )
+    by_definition = [
+        _tabulate(arity + 1, caps, rows, lambda row: _delta_by_definition(family, row))
+        for family in (first, second)
+    ]
+    assert by_definition[0] != by_definition[1]
+    for family, expected in zip((first, second, first), by_definition + by_definition[:1]):
+        assert hochschild._delta_table(family, caps, rows) == expected
+
+
 def _under(row, content):
     """Whether the labels of the row concatenate to at most the content."""
     total = functools.reduce(MultiIndex.concat, row, VACUUM)
