@@ -123,15 +123,12 @@ def _delta_table(family: KernelFamily, caps: TruncationCaps, rows) -> BasisActio
     term of sign 1 is added as it is, every other one times its sign."""
     r = family.arity
     signs = [_term_sign(i) for i in range(r + 2)]
-    ids: dict = {}
-    labels: list = []
-    joined: dict = {}
-    values: dict = {}
+    ids, labels, joined, values = {}, [], {}, {}  # pairs -> id, id -> label, memos
 
     def intern(label: MultiIndex) -> int:
-        i = ids.get(label)
+        i = ids.get(label.pairs)  # a tuple hashes without a Python call
         if i is None:
-            i = ids[label] = len(labels)
+            i = ids[label.pairs] = len(labels)
             labels.append(label)
         return i
 
@@ -151,16 +148,17 @@ def _delta_table(family: KernelFamily, caps: TruncationCaps, rows) -> BasisActio
     def delta(row: tuple) -> FockVector:
         u = tuple(map(intern, row))
         acc: dict = {}
-        for i, sign in enumerate(signs):
-            if 0 < i <= r:  # X(..., u_i u_{i+1}, ...)
-                args, outer = u[: i - 1] + (concat(u[i - 1], u[i]),) + u[i + 1 :], None
-            else:  # u_1 X(u_2, ...) or X(..., u_r) u_{r+1}
-                args, outer = (u[1:], u[0]) if i == 0 else (u[:r], u[r])
-            for k, c in value_of(args):
-                if outer is not None:
-                    k = concat(outer, k)
-                _add_term(acc, k, c if sign == 1 else c * sign)
-        return FockVector._raw({labels[k]: c for k, c in acc.items()})
+        s = signs[0]
+        for k, c in value_of(u[1:]):  # u_1 X(u_2, ..., u_{r+1})
+            _add_term(acc, concat(u[0], k), c if s == 1 else c * s)
+        for i in range(1, r + 1):  # X(..., u_i u_{i+1}, ...)
+            s = signs[i]
+            for k, c in value_of(u[: i - 1] + (concat(u[i - 1], u[i]),) + u[i + 1 :]):
+                _add_term(acc, k, c if s == 1 else c * s)
+        s = signs[r + 1]
+        for k, c in value_of(u[:r]):  # X(u_1, ..., u_r) u_{r+1}
+            _add_term(acc, concat(k, u[r]), c if s == 1 else c * s)
+        return FockVector._raw({labels[k]: c for k, c in acc.items()} if acc else acc)
 
     return _tabulate(r + 1, caps, rows, delta)
 
