@@ -39,6 +39,9 @@ CASES = {
         "symbol", _in("kernel_1.json"), "--poly", "--max-mode", "3", "--max-degree", "2",
     ],
     "symbol_poly_table": ["symbol", _in("table_2.json"), "--poly"],
+    "symbol_poly_edge": [
+        "symbol", _in("kernel_edge.json"), "--poly", "--max-mode", "2", "--max-degree", "2",
+    ],
     "symbol_at_kernel": [
         "symbol", _in("kernel_1.json"), "--at", _in("xi.json"), "--at", _in("eta.json"),
         "--max-mode", "3", "--max-degree", "3",
