@@ -9,6 +9,7 @@ pattern labels the vacuum.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .scalars import _json_int
@@ -214,8 +215,14 @@ def binomial_product(upper: MultiIndex, lower: MultiIndex) -> int:
 
 
 def indices_of_degree(degree: int, modes: Sequence[int]) -> list[MultiIndex]:
-    """All multi-indices of the given degree supported on the given modes."""
-    modes = sorted(set(modes))
+    """All multi-indices of the given degree supported on the given modes,
+    sorted, as a new list.  Each (degree, set of modes) is enumerated once
+    per process (while among the 256 most recent) and shared as a tuple."""
+    return list(_indices_of_degree(degree, tuple(sorted(set(modes)))))
+
+
+@lru_cache(maxsize=256)
+def _indices_of_degree(degree: int, modes: tuple[int, ...]) -> tuple[MultiIndex, ...]:
     out: list[MultiIndex] = []
 
     def walk(pos: int, remaining: int, pairs: list[tuple[int, int]]):
@@ -228,19 +235,17 @@ def indices_of_degree(degree: int, modes: Sequence[int]) -> list[MultiIndex]:
             walk(pos + 1, remaining - r, pairs + [(modes[pos], r)])
 
     if degree == 0:
-        return [VACUUM]
+        return (VACUUM,)
     if not modes:
-        return []
+        return ()
     walk(0, degree, [])
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def indices_up_to(max_degree: int, modes: Sequence[int]) -> list[MultiIndex]:
     """All multi-indices of degree <= max_degree on the given modes, sorted."""
-    out: list[MultiIndex] = []
-    for d in range(max_degree + 1):
-        out.extend(indices_of_degree(d, modes))
-    return sorted(out)
+    modes = tuple(sorted(set(modes)))
+    return sorted(a for d in range(max_degree + 1) for a in _indices_of_degree(d, modes))
 
 
 def iter_index_tuples(
@@ -249,7 +254,8 @@ def iter_index_tuples(
     """All slot-tuples of multi-indices with total degree <= total_degree,
     and each slot of degree <= slot_degree when that is given."""
     top = total_degree if slot_degree is None else min(total_degree, slot_degree)
-    per_degree = [indices_of_degree(d, modes) for d in range(top + 1)]
+    modes = tuple(sorted(set(modes)))
+    per_degree = [_indices_of_degree(d, modes) for d in range(top + 1)]
 
     def walk(slot: int, budget: int, prefix: tuple[MultiIndex, ...]):
         if slot == slots:

@@ -34,7 +34,7 @@ from .fock import (
     truncate,
     wick_product,
 )
-from .multiindex import MultiIndex, indices_up_to, iter_index_tuples
+from .multiindex import MultiIndex, binomial_product, indices_up_to, iter_index_tuples
 from .scalars import Scalar, _json_int
 
 
@@ -380,22 +380,30 @@ def _window_rows(arity: int, caps: TruncationCaps, family: KernelFamily) -> Iter
     return iter_index_tuples(arity, budget, range(caps.max_mode), caps.max_degree)
 
 
-def _reachable_rows(family: KernelFamily, caps: TruncationCaps) -> dict:
+def _reachable_rows(family: KernelFamily, caps: TruncationCaps, labels: Iterable) -> dict:
     """The rows ``table_from_kernel`` evaluates (see there), each mapped to
-    the sub-family of the entries that reach it."""
+    the terms of the entries that reach it.
+
+    Each distinct J gets its up-set once per call: the pairs (degree K,
+    J + K) over the window labels J + K, the label objects taken from
+    ``labels``.  An entry's rows are the products of its slots' up-sets
+    whose K have total degree at most max_degree - degree(I), built slot by
+    slot, so no row is made and then dropped.
+    """
+    ups: dict[MultiIndex, list] = {}
     reach: dict[tuple[MultiIndex, ...], dict[EntryKey, Scalar]] = defaultdict(dict)
-    labels = {label: label for label in basis_labels(caps)}  # rows share label objects
     for entry, coeff in family.terms.items():
         creation, annihilations = entry
         if not caps.admits(creation):
             continue
-        budget = caps.max_degree - creation.degree
-        room = caps.max_degree - min(j.degree for j in annihilations)
-        for ks in iter_index_tuples(family.arity, budget, range(caps.max_mode), room):
-            row = tuple(map(labels.get, map(MultiIndex.concat, annihilations, ks)))
-            if all(row):  # None for a label outside the caps
-                reach[row][entry] = coeff
-    return {row: family._like(entries) for row, entries in reach.items()}
+        rows = [((), caps.max_degree - creation.degree)]
+        for j in annihilations:
+            if j not in ups:
+                ups[j] = [(a.degree - j.degree, a) for a in labels if binomial_product(a, j)]
+            rows = [(row + (a,), left - k) for row, left in rows for k, a in ups[j] if k <= left]
+        for row, _ in rows:
+            reach[row][entry] = coeff
+    return reach
 
 
 def table_from_kernel(family: KernelFamily, caps: TruncationCaps) -> BasisActionTable:
@@ -404,18 +412,20 @@ def table_from_kernel(family: KernelFamily, caps: TruncationCaps) -> BasisAction
     An entry (I, (J_1, ..., J_r)) is nonzero on a row only when each label
     is A_j = J_j + K_j, and its value e_{I + K_1 + ... + K_r} survives the
     caps only when I is in them and the K_j have total degree at most
-    max_degree - degree(I).  Only those rows are evaluated, each with the
-    entries that reach it, and the values are truncated to the caps, so for
-    in-window arguments
+    max_degree - degree(I).  Only those rows are evaluated, each by one
+    ``apply_kernel`` call with the entries that reach it on one basis
+    vector per label.  Every term of such a value is in the caps already
+    (I is, the K_j lie on window modes, and the degrees add up to at most
+    max_degree), so nothing is truncated, and for in-window arguments
     ``apply_table(table, args) == truncate(apply_kernel(family, args), caps)``.
     """
-    reach = _reachable_rows(family, caps)
-    return _tabulate(
-        family.arity,
-        caps,
-        reach,
-        lambda row: apply_kernel(reach[row], [FockVector.basis(a) for a in row]),
-    )
+    vectors = {a: FockVector.basis(a) for a in basis_labels(caps)}
+    action: dict[tuple[MultiIndex, ...], FockVector] = {}
+    for row, entries in _reachable_rows(family, caps, vectors).items():
+        value = apply_kernel(family._like(entries), [vectors[a] for a in row])
+        if value:
+            action[row] = value
+    return BasisActionTable._raw(family.arity, caps, action)
 
 
 def apply_table(table: BasisActionTable, args: Sequence[FockVector]) -> FockVector:

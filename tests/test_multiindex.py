@@ -11,7 +11,10 @@ from wickfock.multiindex import (
     binomial_product,
     indices_of_degree,
     indices_up_to,
+    iter_index_tuples,
 )
+from wickfock.fock import TruncationCaps
+from wickfock.operators import basis_labels
 
 indices = st.builds(
     MultiIndex,
@@ -144,6 +147,61 @@ def test_enumeration():
     up = indices_up_to(2, range(2))
     assert len(up) == 1 + 2 + 3
     assert up == sorted(up)
+
+
+def _brute_force_of_degree(degree, modes):
+    """Oracle: every vector of multiplicities over the distinct modes."""
+    modes = sorted(set(modes))
+    return sorted(
+        MultiIndex(zip(modes, mults))
+        for mults in itertools.product(range(degree + 1), repeat=len(modes))
+        if sum(mults) == degree
+    )
+
+
+def _brute_force_up_to(max_degree, modes):
+    return sorted(a for d in range(max_degree + 1) for a in _brute_force_of_degree(d, modes))
+
+
+ENUMERATION_MODES = [[2, 0, 2], [1, 1], [], [3, 1, 0], range(3)]
+
+
+def _assert_enumeration_matches_brute_force():
+    for modes in ENUMERATION_MODES:
+        for degree in range(5):
+            assert indices_of_degree(degree, modes) == _brute_force_of_degree(degree, modes)
+            window = _brute_force_up_to(degree, modes)
+            assert indices_up_to(degree, modes) == window
+            for slots, slot_degree in [(1, None), (2, None), (2, 1), (3, 2)]:
+                expected = [
+                    t
+                    for t in itertools.product(window, repeat=slots)
+                    if sum(a.degree for a in t) <= degree
+                    and (slot_degree is None or max(a.degree for a in t) <= slot_degree)
+                ]
+                got = list(iter_index_tuples(slots, degree, modes, slot_degree))
+                assert sorted(got) == sorted(expected)
+    for max_mode in range(4):
+        for max_degree in range(5):
+            labels = basis_labels(TruncationCaps(max_mode, max_degree))
+            assert labels == _brute_force_up_to(max_degree, range(max_mode))
+
+
+def test_label_enumeration_is_shared_safely():
+    """Each (degree, modes) is enumerated once per process and shared by
+    every caller: the lists equal a brute-force oracle on mode sets given
+    unsorted and with repeats, and a caller that mutates a returned list
+    leaves what the next call returns unchanged."""
+    _assert_enumeration_matches_brute_force()
+    for modes in ENUMERATION_MODES:
+        for degree in range(5):
+            for got in (indices_of_degree(degree, modes), indices_up_to(degree, modes)):
+                got.reverse()
+                got.append(MultiIndex([(9, 9)]))
+                del got[0]
+    for max_mode in range(4):
+        basis_labels(TruncationCaps(max_mode, 4)).clear()
+    _assert_enumeration_matches_brute_force()
 
 
 @given(indices)

@@ -22,6 +22,7 @@ from wickfock.fock import (
     wick_product,
 )
 from wickfock import operators
+from wickfock.hochschild import kernel_coboundary
 from wickfock.multiindex import VACUUM, MultiIndex, binomial_product, indices_up_to
 from wickfock.operators import (
     BasisActionTable,
@@ -247,7 +248,29 @@ def _tabulation_cases():
         arity = rng.randint(1, 3)
         caps = TruncationCaps(rng.randint(0, 3), rng.randint(0, 4 - arity))
         cases.append((rand_kernel_family(rng, arity, 3, 4), caps))
-    return cases
+    return cases + _routes_shaped_cases()
+
+
+def _routes_shaped_cases():
+    """Coboundaries of arity-2 families on 2 modes at caps (2, 5): arity 3
+    at the window the ``routes`` benchmark hands to ``reconstruct``, where a
+    row's labels reach degree 5 and its K fill up to the whole budget.  The
+    first family is the last routes pattern; the second adds entries of
+    strata (0, 2) and (1, 2) to it."""
+    a, b = mi([(0, 1)]), mi([(1, 1)])
+    last_pattern = KernelFamily.from_entries(
+        2, [(a, (b, VACUUM), Scalar(3)), (b, (VACUUM, a), Scalar(-1, 2))]
+    )
+    mixed = last_pattern + KernelFamily.from_entries(
+        2,
+        [
+            (VACUUM, (a.concat(b), VACUUM), Scalar(2)),
+            (VACUUM, (a, b), Scalar(1, 1)),
+            (b, (VACUUM, a.concat(b)), Scalar(1, 3)),
+            (VACUUM, (VACUUM, a.concat(a)), Scalar(-2)),
+        ],
+    )
+    return [(kernel_coboundary(family), TruncationCaps(2, 5)) for family in (last_pattern, mixed)]
 
 
 def _assert_equals_full_product_table(cases):
@@ -289,9 +312,7 @@ def _reaches(family, caps, row):
     )
 
 
-def test_table_from_kernel_evaluates_each_reachable_row_once(monkeypatch):
-    """Each reached row is evaluated once, with exactly the entries that
-    reach it."""
+def _assert_evaluates_each_reached_row_once(monkeypatch, cases):
     calls = []
     families = {}
 
@@ -302,16 +323,11 @@ def test_table_from_kernel_evaluates_each_reachable_row_once(monkeypatch):
         return apply_kernel(family, args)
 
     monkeypatch.setattr(operators, "apply_kernel", counting)
-    rng = Random(67)
-    for trial in range(60):
-        arity = rng.randint(1, 3)
-        caps = TruncationCaps(rng.randint(1, 3), rng.randint(1, 4 - arity))
-        entries = 1 if trial % 2 else 3
-        family = rand_kernel_family(rng, arity, 3, 4, max_entries=entries)
+    for family, caps in cases:
         calls.clear()
         families.clear()
         table = table_from_kernel(family, caps)
-        window = list(product(basis_labels(caps), repeat=arity))
+        window = product(basis_labels(caps), repeat=family.arity)
         reached = {row for row in window if _reaches(family, caps, row)}
         assert len(calls) == len(set(calls)) == len(reached)
         assert set(calls) == reached
@@ -322,9 +338,30 @@ def test_table_from_kernel_evaluates_each_reachable_row_once(monkeypatch):
                 for entry, coeff in family.terms.items()
                 if _reaches(family._like({entry: coeff}), caps, row)
             }
-        assert len(calls) <= len(list(_window_rows(arity, caps, family)))
+        assert len(calls) <= len(list(_window_rows(family.arity, caps, family)))
         if len(family.terms) == 1:  # one entry cannot cancel
             assert len(calls) == len(table.action)
+
+
+def test_table_from_kernel_evaluates_each_reachable_row_once(monkeypatch):
+    """Each reached row is evaluated once, with exactly the entries that
+    reach it."""
+    rng = Random(67)
+    cases = []
+    for trial in range(60):
+        arity = rng.randint(1, 3)
+        caps = TruncationCaps(rng.randint(1, 3), rng.randint(1, 4 - arity))
+        entries = 1 if trial % 2 else 3
+        cases.append((rand_kernel_family(rng, arity, 3, 4, max_entries=entries), caps))
+    _assert_evaluates_each_reached_row_once(monkeypatch, cases)
+
+
+def test_table_from_kernel_evaluates_each_reachable_row_once_at_routes_windows(monkeypatch):
+    """The same at caps (2, 5) on arity-3 coboundaries, whose rows fill the
+    degree budget slot by slot."""
+    cases = _routes_shaped_cases()
+    assert all(family.arity == 3 and len(family.terms) > 1 for family, _ in cases)
+    _assert_evaluates_each_reached_row_once(monkeypatch, cases)
 
 
 def test_table_matches_kernel_with_truncation():
