@@ -21,7 +21,7 @@ argument label tuples to values.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import ArityError, TruncationError
 from .fock import (
@@ -271,7 +271,7 @@ class BasisActionTable(_SparseMap):
     ``_key`` checks that each row has r labels admitted by ``caps``, and
     ``__init__`` that the summed values' terms are admitted too.  ``_raw``
     trusts all of this; the library's own tables, with rows drawn from the
-    caps and values truncated to them, are built by it.
+    caps and values inside them, are built by it.
     """
 
     __slots__ = ("arity", "caps")
@@ -380,7 +380,7 @@ def _window_rows(arity: int, caps: TruncationCaps, family: KernelFamily) -> Iter
     return iter_index_tuples(arity, budget, range(caps.max_mode), caps.max_degree)
 
 
-def _reachable_rows(family: KernelFamily, caps: TruncationCaps, labels: Iterable) -> dict:
+def _reachable_rows(family: KernelFamily, caps: TruncationCaps, labels: Collection) -> dict:
     """The rows ``table_from_kernel`` evaluates (see there), each mapped to
     the terms of the entries that reach it.
 
