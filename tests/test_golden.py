@@ -93,6 +93,19 @@ def test_cli_stdout_matches_golden(case):
     assert result.stdout_bytes == (GOLDEN / f"{case}.out").read_bytes()
 
 
+# Table-route cohomology of strata whose kernel-route output is already
+# golden, (r, l, m, modes) = (2, 1, 2, 3), (3, 1, 3, 2) and (2, 0, 2, 4):
+# the two routes must print the same bytes.
+TABLE_AS_KERNEL = ["cohomology_kernel_blocks", "cohomology_kernel_r3", "cohomology_kernel_modes4"]
+
+
+@pytest.mark.parametrize("case", TABLE_AS_KERNEL)
+def test_table_route_cohomology_matches_the_kernel_golden(case):
+    result = CliRunner().invoke(main, CASES[case] + ["--route", "table"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (GOLDEN / f"{case}.out").read_bytes()
+
+
 @pytest.mark.parametrize("case", ["cohomology_kernel_r4", "check_all", "wick"])
 def test_module_entry_point_stdout_matches_golden(case):
     """A real process: catches flush and encoding faults that CliRunner hides."""
