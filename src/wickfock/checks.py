@@ -527,7 +527,7 @@ def check_hochschild(seed: int = 1, cases: int = 10) -> CheckReport:
     for case in range(cases):
         tag = f"case {case}"
         arity = rng.randint(1, 2)
-        family = rand_kernel_family(rng, arity, 2, 2)
+        family = rand_kernel_family(rng, arity, 3, 2)
         rec.expect(
             "delta_delta_zero",
             tag,

@@ -17,14 +17,10 @@ coefficients at componentwise-smaller exponents.  Every entry read inside the
 window is therefore exact, and ``extract_kernels`` reads nothing outside it:
 the division by the exponential series is carried out on the window only, so
 no entry has a creation or slot degree above caps.max_degree (which is why
-the ``expand`` command marks every block ``"reliable": true``).  The same
-argument reads a table stored only on a downward-closed set R of rows: the
-coefficient at slots (J_1, ..., J_r) reads only rows with A_j <= J_j, so each
-entry whose slot tuple is in R is exact.  Likewise the coefficient at output
-degree k reads only output levels <= k (the exponential is 1 plus terms that
-raise the output degree), so the division can stop at any output degree.  The
-table route of the coboundary reads its matrices both ways: on its rows, and
-up to the stratum's output degree l.
+the ``expand`` command marks every block ``"reliable": true``).  Likewise
+the coefficient at output degree k reads only output levels <= k (the
+exponential is 1 plus terms that raise the output degree), so the division
+can stop at any output degree.
 """
 
 from __future__ import annotations

@@ -24,10 +24,20 @@ Two realizations are provided and must agree:
   concatenation is made once per pair of ids, and the r + 2 terms of a row
   are added into one id-keyed map; only the row's value goes back to labels.
   ``_delta_table`` is that tabulator, for the window (``table_coboundary``)
-  and for a stratum or block matrix (``_table_route_delta``).  A matrix
-  reads the rows under its contents: every (r+1)-tuple whose concatenation
-  is at most a content, a downward-closed set, computed once per matrix;
-  and it divides the symbol only up to the output degree l it keeps.
+  and for each column of a stratum or block matrix (``coboundary_matrix``).
+
+A table-route matrix tabulates each column on the codomain's own slot tuples
+and reads it with ``extract_kernels`` up to output degree l.  A column is
+one entry (I, (J_1, ..., J_r)) of stratum (l, m), of content C.  Every term
+of dX(u) evaluates X on labels that concatenate to at most concat(u), and X
+vanishes unless each label is at least its J_j, so dX(u) != 0 needs
+concat(u) >= C.  Below a codomain tuple S (slot by slot), whose
+concatenation has degree m as C has, S is then the only row that can be
+nonzero, so the symbol read at S is exact; and every value has output
+degree l, so the division adds nothing up to l and every extracted entry
+sits on a row.  Every label tuple still goes through ``apply_kernel``, every
+column through ``extract_kernels``, and an entry that leaves the block
+still raises.
 
 Zero-cochains are algebra elements; the algebra is commutative, so their
 coboundary (the commutator cochain) vanishes identically: every column of an
@@ -318,18 +328,9 @@ def _check_caps(r: int, l: int, m: int, caps: TruncationCaps):
         )
 
 
-def _table_route_delta(
-    family: KernelFamily, caps: TruncationCaps, l: int, m: int, rows: set
-) -> KernelFamily:
-    """Coboundary through tables: evaluate the defining formula on ``rows``,
-    truncate to the degree-max(l, m) window, extract up to output degree l,
-    and keep the extracted entries whose slot tuple is a row.  The
-    reduced-symbol coefficient at slots J and output degree k reads only rows
-    <= J and output levels <= k, and ``rows`` is downward closed, so every
-    kept entry is exact; one of output degree below l leaves the stratum."""
-    table = _delta_table(family, TruncationCaps(caps.max_mode, max(l, m)), rows)
-    image = extract_kernels(table, max_output=l)
-    return image._like({key: c for key, c in image.terms.items() if key[1] in rows})
+def _check_route(route: str):
+    if route not in ("kernel", "table"):
+        raise ValueError(f"unknown route {route!r}")
 
 
 def coboundary_matrix(
@@ -348,6 +349,7 @@ def coboundary_matrix(
     ComplexInconsistencyError, as one outside the stratum does.  A block
     outside the (l, m) stratum on the window's modes raises ValueError.
     """
+    _check_route(route)
     _check_caps(r, l, m, caps)
     if block is None:
         domain = stratum_basis(r, l, m, caps)
@@ -365,21 +367,16 @@ def coboundary_matrix(
         codomain = [(creation, slots) for slots in _splits(content, r + 1)]
     if r == 0:  # the coboundary of an algebra element vanishes
         return RationalMatrix.zeros(len(codomain), len(domain))
-    if route == "table":  # every (r+1)-tuple under a content of the matrix
-        contents = [block[1]] if block else indices_of_degree(m, range(caps.max_mode))
-        tuples = {
-            s for c in contents for low, _ in c.decompositions() for s in _splits(low, r + 1)
-        }
+    if route == "table":  # the codomain's own slot tuples (module docstring)
+        tuples = dict.fromkeys(slots for _, slots in codomain)
     index = {key: i for i, key in enumerate(codomain)}
     rows = [[ZERO] * len(domain) for _ in codomain]
     for j, (creation, slots) in enumerate(domain):
         family = KernelFamily.single(r, creation, slots)
         if route == "kernel":
             image = kernel_coboundary(family)
-        elif route == "table":
-            image = _table_route_delta(family, caps, l, m, tuples)
         else:
-            raise ValueError(f"unknown route {route!r}")
+            image = extract_kernels(_delta_table(family, caps, tuples), max_output=l)
         for entry, coeff in image.terms.items():
             i = index.get(entry)
             if i is None:
@@ -408,6 +405,7 @@ def cohomology_report(
     solves every block.  delta^0 = 0, so at r = 0 every element is a
     cocycle and none is listed.
     """
+    _check_route(route)
     _check_caps(r, l, m, caps)
     if r == 0:
         dim = len(stratum_basis(0, l, m, caps))

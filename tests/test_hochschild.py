@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 import wickfock.hochschild as hochschild
-from wickfock.checks import minor_rank, rand_kernel_family
+from wickfock.checks import minor_rank, rand_kernel_family, run_suite
 from wickfock.errors import ComplexInconsistencyError, TruncationError
 from wickfock.expansion import extract_kernels, reconstruct
 from wickfock.fock import FockVector, TruncationCaps, wick_product
@@ -254,17 +254,26 @@ def _under(row, content):
 def test_table_route_matrix_evaluates_each_argument_once_per_column(
     monkeypatch, r, l, m, block
 ):
-    """Each column evaluates X once on every label tuple the defining formula
-    reads from the rows under the matrix's contents: every tuple of total
-    degree <= m for the stratum, the block content's closure for a block."""
+    """Each column is tabulated on the codomain's own slot tuples, each once:
+    every (r+1)-tuple of total degree m for the stratum, every split of the
+    content for a block.  X is evaluated once per column on every label
+    tuple the defining formula reads from those rows."""
     caps = TruncationCaps(2, l + m + r + 1)
     calls = _count_kernel_calls(monkeypatch)
+    real = hochschild._delta_table
+    received = []
+
+    def recording(family, caps, rows):
+        received.append(list(rows))
+        return real(family, caps, rows)
+
+    monkeypatch.setattr(hochschild, "_delta_table", recording)
     matrix = coboundary_matrix(r, l, m, caps, route="table", block=block)
     labels = [a for a in basis_labels(caps) if a.degree <= m]
     rows = [
         row
         for row in itertools.product(labels, repeat=r + 1)
-        if sum(a.degree for a in row) <= m and (block is None or _under(row, block[1]))
+        if sum(a.degree for a in row) == m and (block is None or _under(row, block[1]))
     ]
     read = _arguments_read(rows)
     columns = [
@@ -272,8 +281,55 @@ def test_table_route_matrix_evaluates_each_argument_once_per_column(
         if block is None or (key[0] == block[0] and _under(key[1], block[1]))
     ]
     assert not matrix.is_zero()
+    assert len(received) == len(columns)
+    for given in received:
+        assert len(given) == len(set(given)) and set(given) == set(rows)
     assert len(calls) == len(columns) * len(read)
     assert set(calls) == {(column, labels) for column in columns for labels in read}
+
+
+# The table rungs of the benchmark's cohomology ladder, as (modes, r, l, m).
+TABLE_LADDER_STRATA = [(2, 2, 1, 1), (3, 1, 1, 2), (2, 2, 1, 2)]
+
+
+def _assert_closure_rows_are_codomain_rows(strata):
+    """The premise of tabulating a table-route matrix on its codomain rows:
+    tabulated on every row under the block's content, a column still stores
+    only rows that split the content.  The arities are those the report
+    builds, r - 1 and r, less the empty tables of arity 0."""
+    stored = 0
+    for modes, r, l, m in strata:
+        caps = TruncationCaps(modes, l + m + r + 1)
+        labels = [a for a in basis_labels(caps) if a.degree <= m]
+        for arity in range(max(r - 1, 1), r + 1):
+            basis = stratum_basis(arity, l, m, caps)
+            for (_, content), positions in _block_positions(basis).items():
+                closure = [
+                    row for row in itertools.product(labels, repeat=arity + 1)
+                    if _under(row, content)
+                ]
+                codomain = {row for row in closure if sum(a.degree for a in row) == m}
+                for position in positions:
+                    family = KernelFamily.single(arity, *basis[position])
+                    table = hochschild._delta_table(family, caps, closure)
+                    assert set(table.action) <= codomain, (modes, arity, l, m, family)
+                    stored += len(table.action)
+    assert stored > 0
+
+
+def test_table_route_closure_stores_only_codomain_rows():
+    _assert_closure_rows_are_codomain_rows(TABLE_LADDER_STRATA)
+
+
+def test_codomain_row_premise_test_fails_on_a_vacuum_term(monkeypatch):
+    """X answering a vacuum term on every argument is not homogeneous, so it
+    is nonzero on rows below the content; the premise test must see them."""
+    def with_vacuum(family, args):
+        return apply_kernel(family, args) + FockVector.basis(VACUUM)
+
+    monkeypatch.setattr(hochschild, "apply_kernel", with_vacuum)
+    with pytest.raises(AssertionError):
+        _assert_closure_rows_are_codomain_rows(TABLE_LADDER_STRATA)
 
 
 def test_table_coboundary_needs_wide_enough_caps():
@@ -350,6 +406,18 @@ def test_coboundary_matrix_hand_values():
 def test_coboundary_matrix_caps_rule():
     with pytest.raises(TruncationError):
         coboundary_matrix(1, 1, 1, TruncationCaps(2, 3))
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_unknown_route_raises_before_any_column(r):
+    """The route is checked up front, so a matrix or report with no table
+    work to do (r = 0, or no columns) still rejects it."""
+    caps = TruncationCaps(2, 4)
+    for l, m in ((1, 0), (0, 1)):  # at r = 0, (0, 1) has no columns
+        with pytest.raises(ValueError, match="unknown route 'bogus'"):
+            coboundary_matrix(r, l, m, caps, route="bogus")
+        with pytest.raises(ValueError, match="unknown route 'bogus'"):
+            cohomology_report(r, l, m, caps, route="bogus")
 
 
 def test_rank_nullspace_hand_values():
@@ -587,18 +655,32 @@ def test_kernel_route_block_matrices_of_one_content_are_equal_for_every_creation
     assert _assert_kernel_block_matrices_depend_only_on_the_sequence(LADDER_STRATA) > 0
 
 
-def test_sharing_premise_test_fails_on_a_mode_dependent_weight(monkeypatch):
-    """A coboundary weight that reads which mode carries a multiplicity
-    breaks the premise.  The report reuses one solve per sequence and so
-    would print dims for such a bug; the premise test must catch it."""
+def _weigh_mode_2_thrice(monkeypatch):
+    """Break the kernel route with a coboundary weight that reads which mode
+    carries a multiplicity: three times the binomial weight on mode 2."""
     real = hochschild.binomial_product
 
     def mode_dependent(upper, lower):
         return real(upper, lower) * (3 if any(mode == 2 for mode, _ in upper.pairs) else 1)
 
     monkeypatch.setattr(hochschild, "binomial_product", mode_dependent)
+
+
+def test_sharing_premise_test_fails_on_a_mode_dependent_weight(monkeypatch):
+    """A coboundary weight that reads which mode carries a multiplicity
+    breaks the premise.  The report reuses one solve per sequence and so
+    would print dims for such a bug; the premise test must catch it."""
+    _weigh_mode_2_thrice(monkeypatch)
     with pytest.raises(AssertionError):
         _assert_kernel_block_matrices_depend_only_on_the_sequence(LADDER_STRATA)
+
+
+def test_check_suite_fails_on_a_mode_dependent_weight(monkeypatch):
+    """The suite's delta o delta families reach mode 2, so the self-check
+    sees the weight that the report's sharing hides."""
+    assert run_suite("hochschild", seed=1, cases=3).ok
+    _weigh_mode_2_thrice(monkeypatch)
+    assert not run_suite("hochschild", seed=1, cases=3).ok
 
 
 @pytest.mark.parametrize("route", ["kernel", "table"])
