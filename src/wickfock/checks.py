@@ -9,6 +9,7 @@ checks can fail).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -498,6 +499,22 @@ def minor_rank(matrix: RationalMatrix) -> int:
                 if det(tuple(rows_idx), tuple(cols_idx)):
                     return size
     return 0
+
+
+def hkr_block_ranks(multiplicities: list[int], arity: int) -> list[int]:
+    """Independent rank oracle: rank delta^s, s = 0, ..., arity, on a block
+    whose content has these multiplicities, in closed form.
+
+    The block has prod_i C(k_i + s - 1, k_i) cochains at arity s; H^s is 1
+    when the content is squarefree with s modes, else 0 (per-block HKR);
+    delta^0 = 0 and rank delta^s = dim C^s - H^s - rank delta^{s-1}.
+    """
+    ranks = [0]
+    for s in range(1, arity + 1):
+        cochains = math.prod(math.comb(k + s - 1, k) for k in multiplicities)
+        cohomology = len(multiplicities) == s and all(k == 1 for k in multiplicities)
+        ranks.append(cochains - cohomology - ranks[-1])
+    return ranks
 
 
 def check_hochschild(seed: int = 1, cases: int = 10) -> CheckReport:

@@ -80,30 +80,16 @@ def _write_json(obj, write) -> None:
     encoder takes its slow pure-Python path whenever ``indent`` is set; this
     one renders each list of plain ints once per (values, indent) for the call,
     since multi-index pairs such as ``[0, 2]`` repeat throughout a basis.
+    Types are tested as json tests them, so subclasses render as their base,
+    in the order of their frequency in the output (lists, dicts, strings), and
+    a dict's string values are written with their keys.
     """
     memo: dict = {}
     out: list = []
     append = out.append
 
     def render(o, nl: str, depth: int) -> None:
-        if isinstance(o, str):
-            append(encode_basestring_ascii(o))
-        elif isinstance(o, dict):
-            if not o:
-                append("{}")
-                return
-            inner = nl + "  "
-            sep = "{" + inner
-            for key, value in o.items():
-                if key.__class__ is not str:
-                    key = _json_key(key)
-                append(sep + encode_basestring_ascii(key) + ": ")
-                render(value, inner, depth + 1)
-                if depth < 2:
-                    flush()
-                sep = "," + inner
-            append(nl + "}")
-        elif isinstance(o, (list, tuple)):
+        if isinstance(o, (list, tuple)):
             if not o:
                 append("[]")
             # bool is an int subclass, but renders as true/false.
@@ -125,6 +111,27 @@ def _write_json(obj, write) -> None:
                         flush()
                     sep = "," + inner
                 append(nl + "]")
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for key, value in o.items():
+                if key.__class__ is not str:
+                    key = _json_key(key)
+                head = sep + encode_basestring_ascii(key) + ": "
+                if isinstance(value, str):
+                    append(head + encode_basestring_ascii(value))
+                else:
+                    append(head)
+                    render(value, inner, depth + 1)
+                if depth < 2:
+                    flush()
+                sep = "," + inner
+            append(nl + "}")
+        elif isinstance(o, str):
+            append(encode_basestring_ascii(o))
         else:
             append(json.dumps(o))
 

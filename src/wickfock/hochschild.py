@@ -46,12 +46,16 @@ the whole stratum.
 
 Cohomology dimensions come from exact fraction-arithmetic Gaussian
 elimination on the stratum-by-stratum coboundary matrices, one block at a
-time.  Every term of the coboundary keeps an entry's creation index I and its
-annihilation content J_1 + ... + J_r (the concatenation of its slots), so each
-stratum complex is block diagonal in the pairs (I, content); an arity-0 label
-I sits in block (I, VACUUM).  A block's basis comes from its content: the
-keys (I, s), s running over the sorted r-tuples of slots that concatenate to
-the content, with no pass over the stratum.  The delta o delta gate, the
+time, on sparse rows that hold only their nonzeros (the matrices stay dense
+lists of rows).  The cocycles printed are the reduced row echelon nullspace
+vectors, which the pivot columns alone fix, so the choice of pivot rows
+cannot change a byte.  Every term of the coboundary keeps an entry's
+creation index I and its annihilation content J_1 + ... + J_r (the
+concatenation of its slots), so each stratum complex is block diagonal in
+the pairs (I, content); an arity-0 label I sits in block (I, VACUUM).  A
+block's basis comes from its content: the keys (I, s), s running over the
+sorted r-tuples of slots that concatenate to the content, with no pass over
+the stratum.  The delta o delta gate, the
 ranks and the nullspaces are computed per block, and an image that leaves
 its block fails the gate as one leaving the stratum does.  The kernel route
 never reads I, and reads a content only through its multiplicities in mode
@@ -106,20 +110,20 @@ class Cochain:
 
 
 def kernel_coboundary(family: KernelFamily) -> KernelFamily:
-    """The coboundary acting on kernel data; exact, stratum preserving."""
+    """The coboundary acting on kernel data; exact, stratum preserving.  Each
+    term is its entry's coefficient times one int: sign x binomial weight."""
     r = family.arity
-    triples = []
+    signs = [_term_sign(i) for i in range(r + 2)]
+    acc: dict = {}
     for (creation, slots), coeff in family.entries():
-        triples.append((creation, (VACUUM,) + slots, coeff * _term_sign(0)))
+        _add_term(acc, (creation, (VACUUM,) + slots), coeff * signs[0])
         for i in range(1, r + 1):
-            merged = slots[i - 1]
-            sign = Scalar(_term_sign(i))
+            merged, head, tail = slots[i - 1], slots[: i - 1], slots[i:]
             for left, right in merged.decompositions():
-                weight = binomial_product(merged, left)
-                new_slots = slots[: i - 1] + (left, right) + slots[i:]
-                triples.append((creation, new_slots, coeff * sign * weight))
-        triples.append((creation, slots + (VACUUM,), coeff * Scalar(_term_sign(r + 1))))
-    return KernelFamily.from_entries(r + 1, triples)
+                weight = signs[i] * binomial_product(merged, left)
+                _add_term(acc, (creation, head + (left, right) + tail), coeff * weight)
+        _add_term(acc, (creation, slots + (VACUUM,)), coeff * signs[r + 1])
+    return KernelFamily(r + 1)._like(acc)
 
 
 # -- coboundary, table route -----------------------------------------------------
@@ -237,6 +241,12 @@ def _splits(content: MultiIndex, r: int) -> tuple:
     )
 
 
+def _nonzeros(row: list) -> list:
+    """The (column, value) pairs of a dense row's nonzero entries; the shared
+    ZERO that fills dense rows is passed over without a ``Scalar`` call."""
+    return [(j, v) for j, v in enumerate(row) if v is not ZERO and v]
+
+
 @dataclass(frozen=True)
 class RationalMatrix:
     """A dense matrix of exact scalars: ``entries`` is a list of rows."""
@@ -256,22 +266,22 @@ class RationalMatrix:
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
+        right = [_nonzeros(row) for row in other.entries]
         out = []
         for row in self.entries:
-            nonzero = [(k, a) for k, a in enumerate(row) if a]
-            products = []
-            for j in range(other.cols):
-                total = ZERO
-                for k, a in nonzero:
-                    b = other.entries[k][j]
-                    if b:
-                        total = total + a * b
-                products.append(total)
+            acc: dict = {}
+            for k, a in _nonzeros(row):
+                for j, b in right[k]:
+                    _add_term(acc, j, a * b)
+            products = [ZERO] * other.cols
+            for j, c in acc.items():
+                products[j] = c
             out.append(products)
         return RationalMatrix(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
+        # list.count compares by identity first, then by Scalar equality
+        return all(row.count(ZERO) == len(row) for row in self.entries)
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -281,41 +291,39 @@ def rank_nullspace(matrix: RationalMatrix) -> tuple[int, list[list[Scalar]]]:
     """Exact rank and a nullspace basis by fraction-arithmetic elimination.
 
     Every returned vector v satisfies matrix . v == 0 exactly, and
-    rank + len(basis) == cols.
+    rank + len(basis) == cols.  Each is the reduced row echelon form's vector
+    of one free column f: 1 at f, 0 at the other free columns.  So the
+    vectors depend only on the pivot columns, which are the leftmost basis of
+    the column space whatever rows are picked as pivots.  Rows are sparse
+    (column -> nonzero entry); columns are taken left to right, the sparsest
+    row with a nonzero there is the pivot, and the column is cleared from
+    every other row, pivot rows included, touching only nonzeros.
     """
-    rows, cols = matrix.rows, matrix.cols
-    a = [row[:] for row in matrix.entries]
-    pivot_cols: list[int] = []
-    pivot_row = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(pivot_row, rows):
-            if a[r][col]:
-                pivot = r
-                break
-        if pivot is None:
+    pending = [dict(nonzeros) for nonzeros in map(_nonzeros, matrix.entries) if nonzeros]
+    pivots: dict[int, dict] = {}  # pivot column -> its row scaled to 1 there, less that entry
+    for col in range(matrix.cols):
+        hits = [row for row in pending if col in row]
+        if not hits:
             continue
-        a[pivot_row], a[pivot] = a[pivot], a[pivot_row]
-        head = a[pivot_row][col]
-        a[pivot_row] = [v / head if v else v for v in a[pivot_row]]
-        for r in range(rows):
-            if r != pivot_row and a[r][col]:
-                factor = a[r][col]
-                a[r] = [v - factor * w if w else v for v, w in zip(a[r], a[pivot_row])]
-        pivot_cols.append(col)
-        pivot_row += 1
-        if pivot_row == rows:
-            break
-    rank = len(pivot_cols)
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
-    basis = []
-    for free in free_cols:
-        vector = [ZERO] * cols
+        chosen = min(hits, key=len)
+        head = chosen.pop(col)
+        pivot = {j: v / head for j, v in chosen.items()}
+        for row in hits + [row for row in pivots.values() if col in row]:
+            if row is chosen:
+                continue
+            factor = -row.pop(col)
+            for j, v in pivot.items():
+                _add_term(row, j, factor * v)
+        pending = [row for row in pending if row and row is not chosen]
+        pivots[col] = pivot
+    cols = matrix.cols
+    basis = {free: [ZERO] * cols for free in range(cols) if free not in pivots}
+    for free, vector in basis.items():
         vector[free] = ONE
-        for i, col in enumerate(pivot_cols):
-            vector[col] = -a[i][free]
-        basis.append(vector)
-    return rank, basis
+    for col, pivot in pivots.items():  # a pivot row's other entries are in free columns
+        for free, v in pivot.items():
+            basis[free][col] = -v
+    return len(pivots), list(basis.values())
 
 
 def _check_caps(r: int, l: int, m: int, caps: TruncationCaps):
@@ -426,7 +434,7 @@ def cohomology_report(
                         f"delta o delta != 0 at (r, l, m) = ({r}, {l}, {m}) in block {block}"
                     )
                 null_vectors = rank_nullspace(matrix)[1]
-                supports = [[(j, c) for j, c in enumerate(v) if c] for v in null_vectors]
+                supports = [_nonzeros(v) for v in null_vectors]
                 solved[shared] = rank_nullspace(previous)[0], supports
             block_rank_prev, supports = solved[shared]
             rank_prev += block_rank_prev

@@ -45,11 +45,11 @@ class MultiIndex:
         object.__setattr__(self, "_hash", hash(normalized))
 
     @classmethod
-    def _raw(cls, pairs: tuple[tuple[int, int], ...]) -> "MultiIndex":
-        """Fast path for pairs already sorted, merged, and positive."""
+    def _raw(cls, pairs: tuple[tuple[int, int], ...], degree: int | None = None) -> "MultiIndex":
+        """Fast path for pairs already sorted, merged, positive, of ``degree`` if given."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "pairs", pairs)
-        object.__setattr__(obj, "degree", sum(m for _, m in pairs))
+        object.__setattr__(obj, "degree", sum(m for _, m in pairs) if degree is None else degree)
         object.__setattr__(obj, "_hash", hash(pairs))
         return obj
 
@@ -127,18 +127,15 @@ class MultiIndex:
         The count is prod (multiplicity + 1) over stored pairs; the list is
         ordered with B increasing lexicographically.
         """
-        splits: list[tuple[MultiIndex, MultiIndex]] = [
-            (MultiIndex._raw(()), MultiIndex._raw(()))
-        ]
+        splits = [((), 0, ())]  # left pairs, left degree, right pairs
         for mode, mult in self.pairs:
-            extended = []
-            for b, d in splits:
-                for k in range(mult + 1):
-                    left = b.pairs + ((mode, k),) if k else b.pairs
-                    right = d.pairs + ((mode, mult - k),) if k < mult else d.pairs
-                    extended.append((MultiIndex._raw(left), MultiIndex._raw(right)))
-            splits = extended
-        return splits
+            splits = [
+                (b + ((mode, k),) if k else b, deg + k, d + ((mode, mult - k),) if k < mult else d)
+                for b, deg, d in splits
+                for k in range(mult + 1)
+            ]
+        total = self.degree
+        return [(MultiIndex._raw(b, deg), MultiIndex._raw(d, total - deg)) for b, deg, d in splits]
 
     def increment(self, mode: int) -> "MultiIndex":
         """The pattern with one more quantum in the given mode."""

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from decimal import Decimal
 from pathlib import Path
 
@@ -374,11 +375,20 @@ def _written(obj) -> str:
     return "".join(pieces)
 
 
+class _Text(str):
+    """A str subclass: json renders it as a string, so the writer must too."""
+
+
 _tricky_text = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001d11e'))
-_json_leaves = st.none() | st.booleans() | st.integers() | _tricky_text
+_json_leaves = st.none() | st.booleans() | st.integers() | _tricky_text | _tricky_text.map(_Text)
 _json_trees = st.recursive(
     _json_leaves,
-    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(_tricky_text, kids),
+    lambda kids: (
+        st.lists(kids)
+        | st.lists(kids).map(tuple)
+        | st.dictionaries(_tricky_text, kids)
+        | st.dictionaries(_tricky_text | _tricky_text.map(_Text), kids).map(OrderedDict)
+    ),
     max_leaves=40,
 )
 

@@ -2,12 +2,13 @@ import functools
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 import wickfock.hochschild as hochschild
-from wickfock.checks import minor_rank, rand_kernel_family, run_suite
+from wickfock.checks import hkr_block_ranks, minor_rank, rand_kernel_family, run_suite
 from wickfock.errors import ComplexInconsistencyError, TruncationError
 from wickfock.expansion import extract_kernels, reconstruct
 from wickfock.fock import FockVector, TruncationCaps, wick_product
@@ -23,7 +24,7 @@ from wickfock.hochschild import (
     stratum_basis,
     table_coboundary,
 )
-from wickfock.multiindex import VACUUM, MultiIndex, indices_of_degree
+from wickfock.multiindex import VACUUM, MultiIndex, binomial_product, indices_of_degree
 from wickfock.operators import (
     BasisActionTable,
     KernelFamily,
@@ -60,6 +61,50 @@ def test_delta_delta_is_zero_random():
         arity = rng.randint(1, 2)
         family = rand_kernel_family(rng, arity, 2, 2)
         assert kernel_coboundary(kernel_coboundary(family)).is_zero()
+
+
+def _reference_kernel_coboundary(family: KernelFamily) -> KernelFamily:
+    """The reference: every term as an (I, slots, coefficient) triple, with
+    a Scalar sign, summed by the validating ``KernelFamily.from_entries``."""
+    r = family.arity
+    sign = hochschild._term_sign
+    triples = []
+    for (creation, slots), coeff in family.entries():
+        triples.append((creation, (VACUUM,) + slots, coeff * sign(0)))
+        for i in range(1, r + 1):
+            merged = slots[i - 1]
+            for left, right in merged.decompositions():
+                weight = binomial_product(merged, left)
+                new_slots = slots[: i - 1] + (left, right) + slots[i:]
+                triples.append((creation, new_slots, coeff * Scalar(sign(i)) * weight))
+        triples.append((creation, slots + (VACUUM,), coeff * Scalar(sign(r + 1))))
+    return KernelFamily.from_entries(r + 1, triples)
+
+
+def test_kernel_coboundary_equals_reference_and_stores_no_zero():
+    """Random multi-entry families, many of whose terms cancel: entries
+    that share a creation index and a content meet on the same keys, and
+    the coboundary of a coboundary cancels completely."""
+    rng = Random(227)
+    families = []
+    for _ in range(30):
+        arity = rng.randint(1, 3)
+        families.append(rand_kernel_family(rng, arity, 3, 4, max_entries=5))
+        content = rng.choice(indices_of_degree(rng.randint(0, 3), range(2)))
+        splits = hochschild._splits(content, arity)
+        entries = rng.sample(splits, rng.randint(1, min(4, len(splits))))
+        families.append(KernelFamily(arity, [
+            ((VACUUM, slots), Scalar(rng.choice([-2, -1, 1, 2]))) for slots in entries
+        ]))
+    families += [kernel_coboundary(family) for family in families[:20]]
+    cancelled = 0
+    for family in families:
+        image = kernel_coboundary(family)
+        assert image == _reference_kernel_coboundary(family)
+        assert image.arity == family.arity + 1
+        assert all(image.terms.values())
+        cancelled += image.is_zero()
+    assert cancelled >= 10
 
 
 def test_table_and_kernel_routes_agree():
@@ -472,6 +517,107 @@ def test_rank_against_minor_oracle():
                 assert not total
 
 
+def _dense_rank_nullspace(matrix: RationalMatrix):
+    """The reference: Gauss-Jordan elimination on dense rows, pivoting on
+    the first row with a nonzero in each column."""
+    rows, cols = matrix.rows, matrix.cols
+    a = [row[:] for row in matrix.entries]
+    pivot_cols: list[int] = []
+    pivot_row = 0
+    for col in range(cols):
+        pivot = next((r for r in range(pivot_row, rows) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[pivot_row], a[pivot] = a[pivot], a[pivot_row]
+        head = a[pivot_row][col]
+        a[pivot_row] = [v / head if v else v for v in a[pivot_row]]
+        for r in range(rows):
+            if r != pivot_row and a[r][col]:
+                factor = a[r][col]
+                a[r] = [v - factor * w if w else v for v, w in zip(a[r], a[pivot_row])]
+        pivot_cols.append(col)
+        pivot_row += 1
+        if pivot_row == rows:
+            break
+    basis = []
+    for free in (c for c in range(cols) if c not in pivot_cols):
+        vector = [ZERO] * cols
+        vector[free] = ONE
+        for i, col in enumerate(pivot_cols):
+            vector[col] = -a[i][free]
+        basis.append(vector)
+    return len(pivot_cols), basis
+
+
+def _random_matrix(rng: Random, rows: int | None = None) -> RationalMatrix:
+    """0 to 6 rows (unless given) and columns of Gaussian rationals: dense or
+    sparse, or a product through at most 3 inner columns (so rank deficient),
+    with a zero row or column now and then, and zeros that are new objects
+    as well as the shared ZERO."""
+    rows, cols = rng.randint(0, 6) if rows is None else rows, rng.randint(0, 6)
+    density = rng.random()
+
+    def entry():
+        if rng.random() > density:
+            return rng.choice([ZERO, Scalar(0)])
+        im = Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.5 else 0
+        return Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), im)
+
+    if rng.random() < 0.5:
+        inner = rng.randint(0, 3)
+        left = [[entry() for _ in range(inner)] for _ in range(rows)]
+        right = [[entry() for _ in range(cols)] for _ in range(inner)]
+        entries = [
+            [sum((a * right[k][j] for k, a in enumerate(row)), Scalar(0)) for j in range(cols)]
+            for row in left
+        ]
+    else:
+        entries = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows and rng.random() < 0.3:
+        entries[rng.randrange(rows)] = [ZERO] * cols
+    if cols and rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in entries:
+            row[j] = Scalar(0)
+    return RationalMatrix(rows, cols, entries)
+
+
+def test_sparse_rank_nullspace_equals_dense_reference():
+    """Same rank and the same vectors, entry for entry, as dense
+    elimination: the vectors are fixed by the pivot columns, whatever rows
+    the sparse elimination pivots on.  Fails if earlier pivot rows are left
+    unreduced, or if an update skips the entries a row does not yet hold."""
+    rng = Random(211)
+    seen = Counter()
+    for _ in range(400):
+        matrix = _random_matrix(rng)
+        rank, basis = rank_nullspace(matrix)
+        assert (rank, basis) == _dense_rank_nullspace(matrix)
+        assert all(type(v) is Scalar for vector in basis for v in vector)
+        seen["deficient"] += rank < min(matrix.rows, matrix.cols)
+        seen["complex"] += any(v.im for row in matrix.entries for v in row)
+        seen["empty"] += not matrix.rows or not matrix.cols
+    assert min(seen.values()) >= 20, seen
+
+
+def test_sparse_matmul_equals_triple_loop():
+    rng = Random(223)
+    for _ in range(200):
+        left = _random_matrix(rng)
+        right = _random_matrix(rng, rows=left.cols)
+        expected = [
+            [sum((a * right.entries[k][j] for k, a in enumerate(row)), ZERO)
+             for j in range(right.cols)]
+            for row in left.entries
+        ]
+        product = left.matmul(right)
+        assert (product.rows, product.cols) == (left.rows, right.cols)
+        assert product.entries == expected
+        assert product.is_zero() == all(not v for row in expected for v in row)
+        with pytest.raises(ValueError):
+            left.matmul(RationalMatrix.zeros(left.cols + 1, right.cols))
+
+
 def test_cohomology_dims_hand_values():
     # annihilation derivations span the (0,1) cocycles; nothing bounds them
     caps = TruncationCaps(2, 3)
@@ -499,19 +645,51 @@ def test_cohomology_dims_routes_agree():
             )
 
 
-def _hkr_dim(r: int, l: int, m: int, modes: int) -> int:
-    """Hochschild-Kostant-Rosenberg: #{I : deg I = l} * C(n, r) when m == r, else 0."""
-    return math.comb(modes + l - 1, l) * math.comb(modes, r) if m == r else 0
+def _closed_form_dims(r: int, l: int, m: int, modes: int) -> tuple[int, int, int]:
+    """(dim ker, dim im, dim H) of the stratum from the closed-form block
+    ranks: every block of a content is counted once per creation index,
+    and dim ker delta^r = dim C^r - rank delta^r."""
+    creations = len(indices_of_degree(l, range(modes)))
+    contents = indices_of_degree(m, range(modes))
+    ranks = [hkr_block_ranks([k for _, k in c.pairs], r) for c in contents]
+    cochains = len(stratum_basis(r, l, m, TruncationCaps(modes, l + m + r + 1)))
+    ker = cochains - creations * sum(rank[r] for rank in ranks)
+    im = creations * sum(rank[r - 1] for rank in ranks)
+    return ker, im, ker - im
 
 
 def test_cohomology_dims_equal_hkr_closed_form():
     dims = {}
     for modes, r, l, m in itertools.product((1, 2, 3), (1, 2, 3), (0, 1, 2), (0, 1, 2, 3)):
         dims[r, l, m, modes] = cohomology_dims(r, l, m, TruncationCaps(modes, l + m + r + 1))
-        dim_ker, dim_im, dim_h = dims[r, l, m, modes]
-        assert dim_h == dim_ker - dim_im == _hkr_dim(r, l, m, modes), (r, l, m, modes)
+        assert dims[r, l, m, modes] == _closed_form_dims(r, l, m, modes), (r, l, m, modes)
     assert dims[2, 2, 3, 3] == (60, 60, 0)
     assert dims[3, 2, 3, 3] == (282, 276, 6)
+
+
+# The cohomology ladder of the benchmark, and two strata with dim H > 0.
+CLOSED_FORM_STRATA = [
+    (1, 1, 1, 3), (1, 1, 2, 3), (2, 1, 2, 3), (2, 2, 2, 3), (2, 0, 2, 4), (2, 1, 2, 4),
+    (3, 1, 3, 2), (2, 1, 1, 2), (2, 1, 2, 2), (3, 0, 3, 3), (3, 1, 3, 3),
+]
+
+
+@pytest.mark.parametrize("route", ["kernel", "table"])
+def test_every_block_rank_equals_the_closed_form(route):
+    """Each block's rank of delta^{r-1} and delta^r, by elimination, equals
+    the closed form: a check on every solve, which two rank errors that
+    cancel in dim H would still fail."""
+    checked = 0
+    for r, l, m, modes in CLOSED_FORM_STRATA:
+        caps = TruncationCaps(modes, l + m + r + 1)
+        for creation in indices_of_degree(l, range(modes)):
+            for content in indices_of_degree(m, range(modes)):
+                ranks = hkr_block_ranks([k for _, k in content.pairs], r)
+                for s in (r - 1, r):
+                    matrix = coboundary_matrix(s, l, m, caps, route, (creation, content))
+                    assert rank_nullspace(matrix)[0] == ranks[s], (r, l, m, modes, content, s)
+                    checked += 1
+    assert checked == 378
 
 
 def _block_of(key):
