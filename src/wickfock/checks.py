@@ -474,8 +474,10 @@ def check_expansion(seed: int = 1, cases: int = 15) -> CheckReport:
 def minor_rank(matrix: RationalMatrix) -> int:
     """Independent rank oracle: largest size of a nonvanishing minor.
 
-    Exponential; intended for cross-checks on matrices up to about 4x4.
+    Exponential, by cofactor expansion on rows read as dicts (column ->
+    nonzero); intended for cross-checks on matrices up to about 4x4.
     """
+    rows = [dict(row) for row in matrix.entries]
 
     def det(rows_idx, cols_idx):
         if not rows_idx:
@@ -483,8 +485,8 @@ def minor_rank(matrix: RationalMatrix) -> int:
         total = ZERO
         first = rows_idx[0]
         for position, col in enumerate(cols_idx):
-            entry = matrix.entries[first][col]
-            if not entry:
+            entry = rows[first].get(col)
+            if entry is None:
                 continue
             rest = cols_idx[:position] + cols_idx[position + 1 :]
             sub = det(rows_idx[1:], rest)
@@ -552,8 +554,9 @@ def check_hochschild(seed: int = 1, cases: int = 10) -> CheckReport:
             kernel_coboundary(kernel_coboundary(family)),
         )
 
-        small = rand_kernel_family(rng, arity, 2, 1, max_entries=2)
-        caps = TruncationCaps(2, 1 + arity + 1)
+        # l + m <= 2 reaches slots of multiplicity 2, whose binomial weights are 2
+        small = rand_kernel_family(rng, arity, 2, 2, max_entries=2)
+        caps = TruncationCaps(2, 2 + arity + 1)
         cochain = Cochain.from_kernels(small, caps)
         via_table = table_coboundary(cochain)
         via_symbol = reconstruct(kernel_coboundary(small), caps)
@@ -574,21 +577,16 @@ def check_hochschild(seed: int = 1, cases: int = 10) -> CheckReport:
     for case in range(cases):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
-        matrix = RationalMatrix(
-            rows,
-            cols,
-            [[Scalar(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)],
-        )
+        dense = [[Scalar(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)]
+        pairs = [[(j, v) for j, v in enumerate(row) if v] for row in dense]
+        matrix = RationalMatrix(rows, cols, pairs)
         rank, basis = rank_nullspace(matrix)
         rec.expect("rank_oracle", f"case {case}", minor_rank(matrix), rank)
         rec.expect(
             "rank_nullity", f"case {case}", cols, rank + len(basis)
         )
         for vector in basis:
-            image = [
-                sum((row[j] * vector[j] for j in range(cols)), ZERO)
-                for row in matrix.entries
-            ]
+            image = [sum((row[j] * v for j, v in vector), ZERO) for row in dense]
             rec.require(
                 "nullspace_valid", f"case {case}", all(not v for v in image)
             )

@@ -46,8 +46,9 @@ the whole stratum.
 
 Cohomology dimensions come from exact fraction-arithmetic Gaussian
 elimination on the stratum-by-stratum coboundary matrices, one block at a
-time, on sparse rows that hold only their nonzeros (the matrices stay dense
-lists of rows).  The cocycles printed are the reduced row echelon nullspace
+time.  A matrix is sparse from the start: each row is the list of its
+nonzero (column, value) pairs, and it is built, multiplied and eliminated in
+that form.  The cocycles printed are the reduced row echelon nullspace
 vectors, which the pivot columns alone fix, so the choice of pivot rows
 cannot change a byte.  Every term of the coboundary keeps an entry's
 creation index I and its annihilation content J_1 + ... + J_r (the
@@ -85,7 +86,7 @@ from .multiindex import (
     iter_index_tuples,
 )
 from .operators import BasisActionTable, KernelFamily, _tabulate, _window_rows, apply_kernel
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar
 
 
 def _term_sign(i: int) -> int:
@@ -241,65 +242,62 @@ def _splits(content: MultiIndex, r: int) -> tuple:
     )
 
 
-def _nonzeros(row: list) -> list:
-    """The (column, value) pairs of a dense row's nonzero entries; the shared
-    ZERO that fills dense rows is passed over without a ``Scalar`` call."""
-    return [(j, v) for j, v in enumerate(row) if v is not ZERO and v]
-
-
 @dataclass(frozen=True)
 class RationalMatrix:
-    """A dense matrix of exact scalars: ``entries`` is a list of rows."""
+    """A sparse matrix of exact scalars: ``entries[i]`` is row i's list of
+    (column, value) pairs, columns increasing, no value zero."""
 
     rows: int
     cols: int
-    entries: list[list[Scalar]]
+    entries: list[list[tuple[int, Scalar]]]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(row) != self.cols for row in self.entries):
+        if len(self.entries) != self.rows:
             raise ValueError("entry shape does not match rows x cols")
+        for row in self.entries:
+            previous = -1
+            for j, v in row:
+                if not (previous < j < self.cols and v):
+                    raise ValueError(f"not nonzeros at increasing columns in [0, {self.cols})")
+                previous = j
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, [[ZERO] * cols for _ in range(rows)])
+        return cls(rows, cols, [[] for _ in range(rows)])
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        right = [_nonzeros(row) for row in other.entries]
+        right = other.entries
         out = []
         for row in self.entries:
             acc: dict = {}
-            for k, a in _nonzeros(row):
+            for k, a in row:
                 for j, b in right[k]:
                     _add_term(acc, j, a * b)
-            products = [ZERO] * other.cols
-            for j, c in acc.items():
-                products[j] = c
-            out.append(products)
+            out.append(sorted(acc.items()))
         return RationalMatrix(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
-        # list.count compares by identity first, then by Scalar equality
-        return all(row.count(ZERO) == len(row) for row in self.entries)
+        return not any(self.entries)
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-def rank_nullspace(matrix: RationalMatrix) -> tuple[int, list[list[Scalar]]]:
+def rank_nullspace(matrix: RationalMatrix) -> tuple[int, list[list[tuple[int, Scalar]]]]:
     """Exact rank and a nullspace basis by fraction-arithmetic elimination.
 
-    Every returned vector v satisfies matrix . v == 0 exactly, and
-    rank + len(basis) == cols.  Each is the reduced row echelon form's vector
-    of one free column f: 1 at f, 0 at the other free columns.  So the
-    vectors depend only on the pivot columns, which are the leftmost basis of
-    the column space whatever rows are picked as pivots.  Rows are sparse
-    (column -> nonzero entry); columns are taken left to right, the sparsest
-    row with a nonzero there is the pivot, and the column is cleared from
-    every other row, pivot rows included, touching only nonzeros.
+    Every returned vector v, sorted pairs as a row is, satisfies
+    matrix . v == 0 exactly, and rank + len(basis) == cols.  Each is the
+    reduced row echelon form's vector of one free column f: 1 at f, 0 at the
+    other free columns.  So the vectors depend only on the pivot columns,
+    the leftmost basis of the column space whatever rows are picked as
+    pivots.  Rows become dicts (column -> nonzero); columns are taken left
+    to right, the sparsest row with a nonzero there is the pivot, and the
+    column is cleared from every other row, pivot rows included.
     """
-    pending = [dict(nonzeros) for nonzeros in map(_nonzeros, matrix.entries) if nonzeros]
+    pending = [dict(row) for row in matrix.entries if row]
     pivots: dict[int, dict] = {}  # pivot column -> its row scaled to 1 there, less that entry
     for col in range(matrix.cols):
         hits = [row for row in pending if col in row]
@@ -316,13 +314,14 @@ def rank_nullspace(matrix: RationalMatrix) -> tuple[int, list[list[Scalar]]]:
                 _add_term(row, j, factor * v)
         pending = [row for row in pending if row and row is not chosen]
         pivots[col] = pivot
-    cols = matrix.cols
-    basis = {free: [ZERO] * cols for free in range(cols) if free not in pivots}
-    for free, vector in basis.items():
-        vector[free] = ONE
-    for col, pivot in pivots.items():  # a pivot row's other entries are in free columns
+    basis = {free: [] for free in range(matrix.cols) if free not in pivots}
+    # a pivot row's other entries are in later free columns: taking pivots in
+    # column order, then the free column, keeps each vector sorted
+    for col, pivot in pivots.items():
         for free, v in pivot.items():
-            basis[free][col] = -v
+            basis[free].append((col, -v))
+    for free, vector in basis.items():
+        vector.append((free, ONE))
     return len(pivots), list(basis.values())
 
 
@@ -378,7 +377,7 @@ def coboundary_matrix(
     if route == "table":  # the codomain's own slot tuples (module docstring)
         tuples = dict.fromkeys(slots for _, slots in codomain)
     index = {key: i for i, key in enumerate(codomain)}
-    rows = [[ZERO] * len(domain) for _ in codomain]
+    rows = [[] for _ in codomain]  # walked column by column, so each row comes out sorted
     for j, (creation, slots) in enumerate(domain):
         family = KernelFamily.single(r, creation, slots)
         if route == "kernel":
@@ -390,7 +389,7 @@ def coboundary_matrix(
             if i is None:
                 where = f"(l, m) = ({l}, {m}) stratum" if block is None else f"block {block}"
                 raise ComplexInconsistencyError(f"coboundary left the {where} at {entry}")
-            rows[i][j] = coeff
+            rows[i].append((j, coeff))
     return RationalMatrix(len(codomain), len(domain), rows)
 
 
@@ -433,9 +432,7 @@ def cohomology_report(
                     raise ComplexInconsistencyError(
                         f"delta o delta != 0 at (r, l, m) = ({r}, {l}, {m}) in block {block}"
                     )
-                null_vectors = rank_nullspace(matrix)[1]
-                supports = [_nonzeros(v) for v in null_vectors]
-                solved[shared] = rank_nullspace(previous)[0], supports
+                solved[shared] = rank_nullspace(previous)[0], rank_nullspace(matrix)[1]
             block_rank_prev, supports = solved[shared]
             rank_prev += block_rank_prev
             slots = _splits(content, r)

@@ -435,7 +435,7 @@ def test_coboundary_matrix_hand_values():
     caps1 = TruncationCaps(1, 2)
     matrix = coboundary_matrix(1, 0, 0, caps1)
     assert (matrix.rows, matrix.cols) == (1, 1)
-    assert matrix.entries[0][0] == ONE
+    assert matrix.entries == [[(0, ONE)]]
 
     # no modes at all: the stratum is empty and the matrix collapses
     empty = coboundary_matrix(1, 1, 0, TruncationCaps(0, 3))
@@ -468,27 +468,40 @@ def test_unknown_route_raises_before_any_column(r):
 def test_rank_nullspace_hand_values():
     zero = RationalMatrix.zeros(3, 3)
     rank, basis = rank_nullspace(zero)
-    assert rank == 0 and len(basis) == 3
+    assert rank == 0 and basis == [[(0, ONE)], [(1, ONE)], [(2, ONE)]]
 
-    eye = RationalMatrix(
-        2, 2, [[ONE, ZERO], [ZERO, ONE]]
-    )
+    eye = RationalMatrix(2, 2, [[(0, ONE)], [(1, ONE)]])
     rank, basis = rank_nullspace(eye)
     assert rank == 2 and basis == []
+
+    # x_0 - 2 x_2 + x_3 = 0 and x_1 + x_2 = 0: free columns 2 and 3
+    two = RationalMatrix(2, 4, [[(0, ONE), (2, Scalar(-2)), (3, ONE)], [(1, ONE), (2, ONE)]])
+    rank, basis = rank_nullspace(two)
+    assert rank == 2
+    assert basis == [[(0, Scalar(2)), (1, -ONE), (2, ONE)], [(0, -ONE), (3, ONE)]]
 
 
 def test_rational_matrix_checks_shape_and_immutability():
     with pytest.raises(ValueError):
-        RationalMatrix(2, 2, [[ONE, ZERO]])
-    with pytest.raises(ValueError):
-        RationalMatrix(1, 2, [[ONE]])
-    row = RationalMatrix(1, 2, [[ONE, ZERO]])
+        RationalMatrix(2, 2, [[(0, ONE)]])  # a row count other than rows
+    for row in (
+        [(2, ONE)],  # a column at cols
+        [(-1, ONE)],  # a column below 0
+        [(1, ONE), (1, ONE)],  # a repeated column
+        [(1, ONE), (0, ONE)],  # a decreasing column
+        [(0, ZERO)],  # a stored zero: the shared one
+        [(1, Scalar(0))],  # and a new one
+    ):
+        with pytest.raises(ValueError):
+            RationalMatrix(1, 2, [row])
+    row = RationalMatrix(1, 2, [[(0, ONE)]])
     with pytest.raises(AttributeError):
         row.rows = 2
     with pytest.raises(ValueError):
         row.matmul(row)
-    assert row.matmul(RationalMatrix(2, 1, [[ONE], [ONE]])) == RationalMatrix(1, 1, [[ONE]])
-    assert RationalMatrix.zeros(2, 3) == RationalMatrix(2, 3, [[ZERO] * 3, [ZERO] * 3])
+    column = RationalMatrix(2, 1, [[(0, ONE)], [(0, ONE)]])
+    assert row.matmul(column) == RationalMatrix(1, 1, [[(0, ONE)]])
+    assert RationalMatrix.zeros(2, 3) == RationalMatrix(2, 3, [[], []])
     assert RationalMatrix.zeros(2, 3) != RationalMatrix.zeros(3, 2)
     assert repr(RationalMatrix.zeros(2, 3)) == "RationalMatrix(2x3)"
 
@@ -498,30 +511,43 @@ def test_rank_against_minor_oracle():
     for _ in range(40):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
-        matrix = RationalMatrix(
-            rows,
-            cols,
-            [
-                [Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(cols)]
-                for _ in range(rows)
-            ],
-        )
+        dense = [
+            [Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        matrix = RationalMatrix(rows, cols, _to_pairs(dense))
         rank, basis = rank_nullspace(matrix)
         assert rank == minor_rank(matrix)
         assert rank + len(basis) == cols
         for vector in basis:
-            for row in matrix.entries:
+            for row in dense:
                 total = ZERO
-                for a, v in zip(row, vector):
-                    total = total + a * v
+                for j, v in vector:
+                    total = total + row[j] * v
                 assert not total
 
 
-def _dense_rank_nullspace(matrix: RationalMatrix):
+def _to_pairs(dense: list) -> list:
+    """Sparse rows from dense ones: the (column, value) pairs of each row's
+    nonzeros, columns increasing."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in dense]
+
+
+def _to_dense(rows: list, cols: int) -> list:
+    """Dense rows of ``cols`` entries from sparse ones, ZERO where a row
+    holds no pair."""
+    dense = [[ZERO] * cols for _ in rows]
+    for out, row in zip(dense, rows):
+        for j, v in row:
+            out[j] = v
+    return dense
+
+
+def _dense_rank_nullspace(dense: list, cols: int):
     """The reference: Gauss-Jordan elimination on dense rows, pivoting on
     the first row with a nonzero in each column."""
-    rows, cols = matrix.rows, matrix.cols
-    a = [row[:] for row in matrix.entries]
+    rows = len(dense)
+    a = [row[:] for row in dense]
     pivot_cols: list[int] = []
     pivot_row = 0
     for col in range(cols):
@@ -552,8 +578,8 @@ def _dense_rank_nullspace(matrix: RationalMatrix):
 def _random_matrix(rng: Random, rows: int | None = None) -> RationalMatrix:
     """0 to 6 rows (unless given) and columns of Gaussian rationals: dense or
     sparse, or a product through at most 3 inner columns (so rank deficient),
-    with a zero row or column now and then, and zeros that are new objects
-    as well as the shared ZERO."""
+    with a zero row or column now and then.  Drawn dense, zeros as new
+    objects and as the shared ZERO, and stored as pairs without them."""
     rows, cols = rng.randint(0, 6) if rows is None else rows, rng.randint(0, 6)
     density = rng.random()
 
@@ -579,7 +605,7 @@ def _random_matrix(rng: Random, rows: int | None = None) -> RationalMatrix:
         j = rng.randrange(cols)
         for row in entries:
             row[j] = Scalar(0)
-    return RationalMatrix(rows, cols, entries)
+    return RationalMatrix(rows, cols, _to_pairs(entries))
 
 
 def test_sparse_rank_nullspace_equals_dense_reference():
@@ -592,10 +618,14 @@ def test_sparse_rank_nullspace_equals_dense_reference():
     for _ in range(400):
         matrix = _random_matrix(rng)
         rank, basis = rank_nullspace(matrix)
-        assert (rank, basis) == _dense_rank_nullspace(matrix)
-        assert all(type(v) is Scalar for vector in basis for v in vector)
+        dense_rank, dense_basis = _dense_rank_nullspace(
+            _to_dense(matrix.entries, matrix.cols), matrix.cols
+        )
+        assert (rank, basis) == (dense_rank, _to_pairs(dense_basis))
+        RationalMatrix(len(basis), matrix.cols, basis)  # sorted pairs, no zero
+        assert all(type(v) is Scalar for vector in basis for _, v in vector)
         seen["deficient"] += rank < min(matrix.rows, matrix.cols)
-        seen["complex"] += any(v.im for row in matrix.entries for v in row)
+        seen["complex"] += any(v.im for row in matrix.entries for _, v in row)
         seen["empty"] += not matrix.rows or not matrix.cols
     assert min(seen.values()) >= 20, seen
 
@@ -605,14 +635,15 @@ def test_sparse_matmul_equals_triple_loop():
     for _ in range(200):
         left = _random_matrix(rng)
         right = _random_matrix(rng, rows=left.cols)
+        dense_right = _to_dense(right.entries, right.cols)
         expected = [
-            [sum((a * right.entries[k][j] for k, a in enumerate(row)), ZERO)
+            [sum((a * dense_right[k][j] for k, a in enumerate(row)), ZERO)
              for j in range(right.cols)]
-            for row in left.entries
+            for row in _to_dense(left.entries, left.cols)
         ]
         product = left.matmul(right)
         assert (product.rows, product.cols) == (left.rows, right.cols)
-        assert product.entries == expected
+        assert product.entries == _to_pairs(expected)
         assert product.is_zero() == all(not v for row in expected for v in row)
         with pytest.raises(ValueError):
             left.matmul(RationalMatrix.zeros(left.cols + 1, right.cols))
@@ -667,11 +698,13 @@ def test_cohomology_dims_equal_hkr_closed_form():
     assert dims[3, 2, 3, 3] == (282, 276, 6)
 
 
-# The cohomology ladder of the benchmark, and two strata with dim H > 0.
-CLOSED_FORM_STRATA = [
+# The strata of the benchmark's cohomology ladder, as (r, l, m, modes).
+COHOMOLOGY_LADDER = [
     (1, 1, 1, 3), (1, 1, 2, 3), (2, 1, 2, 3), (2, 2, 2, 3), (2, 0, 2, 4), (2, 1, 2, 4),
-    (3, 1, 3, 2), (2, 1, 1, 2), (2, 1, 2, 2), (3, 0, 3, 3), (3, 1, 3, 3),
+    (3, 1, 3, 2), (2, 1, 1, 2), (2, 1, 2, 2),
 ]
+# The ladder and two strata with dim H > 0.
+CLOSED_FORM_STRATA = COHOMOLOGY_LADDER + [(3, 0, 3, 3), (3, 1, 3, 3)]
 
 
 @pytest.mark.parametrize("route", ["kernel", "table"])
@@ -690,6 +723,27 @@ def test_every_block_rank_equals_the_closed_form(route):
                     assert rank_nullspace(matrix)[0] == ranks[s], (r, l, m, modes, content, s)
                     checked += 1
     assert checked == 378
+
+
+@pytest.mark.parametrize("route", ["kernel", "table"])
+def test_every_block_matrix_row_holds_one_pair_per_nonzero(route):
+    """On the benchmark's cohomology ladder, each row of every block matrix
+    the report builds holds as many pairs as its dense form has nonzeros:
+    counting the pairs, as the benchmark's nnz counter does, counts the
+    nonzeros."""
+    counted = 0
+    for r, l, m, modes in COHOMOLOGY_LADDER:
+        caps = TruncationCaps(modes, l + m + r + 1)
+        for creation in indices_of_degree(l, range(modes)):
+            for content in indices_of_degree(m, range(modes)):
+                for s in (r - 1, r):
+                    matrix = coboundary_matrix(s, l, m, caps, route, (creation, content))
+                    dense = _to_dense(matrix.entries, matrix.cols)
+                    assert [len(row) for row in matrix.entries] == [
+                        sum(1 for v in row if v) for row in dense
+                    ], (r, l, m, modes, content, s)
+                    counted += sum(map(len, matrix.entries))
+    assert counted > 0
 
 
 def _block_of(key):
@@ -720,16 +774,15 @@ def test_block_report_matches_dense_elimination():
     for l, m in ((0, 0), (1, 1), (0, 1), (1, 0), (2, 1), (0, 2)):
         for r in (1, 2):
             caps = TruncationCaps(2, l + m + r + 1)
-            dense = coboundary_matrix(r, l, m, caps)
-            _, null_basis = rank_nullspace(dense)
+            whole = coboundary_matrix(r, l, m, caps)
+            _, null_basis = rank_nullspace(whole)
             rank_prev, _ = rank_nullspace(coboundary_matrix(r - 1, l, m, caps))
             basis = stratum_basis(r, l, m, caps)
             expected = [
-                KernelFamily.from_entries(
-                    r, [(*key, coeff) for key, coeff in zip(basis, vector) if coeff]
-                )
+                KernelFamily.from_entries(r, [(*basis[j], coeff) for j, coeff in vector])
                 for vector in null_basis
             ]
+            dense = _to_dense(whole.entries, whole.cols)
             codomain = stratum_basis(r + 1, l, m, caps)
             blocks = _block_positions(stratum_basis(r, l, m, caps))
             for route in ("kernel", "table"):
@@ -739,8 +792,9 @@ def test_block_report_matches_dense_elimination():
                 for block, columns in blocks.items():
                     rows = [codomain.index(key) for key in codomain
                             if _block_of(key) == block]
-                    assert coboundary_matrix(r, l, m, caps, route, block=block).entries == [
-                        [dense.entries[i][j] for j in columns] for i in rows
+                    matrix = coboundary_matrix(r, l, m, caps, route, block=block)
+                    assert _to_dense(matrix.entries, matrix.cols) == [
+                        [dense[i][j] for j in columns] for i in rows
                     ]
 
 
@@ -861,6 +915,27 @@ def test_check_suite_fails_on_a_mode_dependent_weight(monkeypatch):
     assert not run_suite("hochschild", seed=1, cases=3).ok
 
 
+BINOMIAL_MUTATIONS = {
+    "one": lambda real: lambda upper, lower: 1,
+    "plus-one-on-degree-2": lambda real: lambda upper, lower: (
+        real(upper, lower) + (1 if (upper.degree, lower.degree) == (2, 1) else 0)
+    ),
+    "squared": lambda real: lambda upper, lower: real(upper, lower) ** 2,
+}
+
+
+@pytest.mark.parametrize("mutation", BINOMIAL_MUTATIONS.values(), ids=BINOMIAL_MUTATIONS.keys())
+def test_check_suite_fails_on_a_wrong_binomial_weight(monkeypatch, mutation):
+    """The suite's route-agreement families reach slots of multiplicity 2,
+    where a binomial weight is not 1, so the table route, which never reads
+    the kernel route's weights, disagrees with a wrong one: 1 on every
+    split, C + 1 on the degree-1 splits of degree-2 labels, or C squared."""
+    assert run_suite("hochschild", seed=1).ok
+    monkeypatch.setattr(hochschild, "binomial_product", mutation(hochschild.binomial_product))
+    report = run_suite("hochschild", seed=1)
+    assert "delta_routes_agree" in {failure.check for failure in report.failures}
+
+
 @pytest.mark.parametrize("route", ["kernel", "table"])
 def test_report_builds_one_block_per_content_on_the_kernel_route_only(monkeypatch, route):
     """The kernel route builds the two matrices of at most one block per
@@ -911,7 +986,7 @@ def test_kernel_report_equals_a_solve_of_every_block():
         for block, positions in _block_positions(basis).items():
             _, null_basis = rank_nullspace(coboundary_matrix(r, l, m, caps, block=block))
             for vector in null_basis:
-                support = [(basis[positions[j]], c) for j, c in enumerate(vector) if c]
+                support = [(basis[positions[j]], c) for j, c in vector]
                 cocycles.append((support[-1][0], KernelFamily(r, support)))
         cocycles.sort(key=lambda pair: pair[0])
         assert cohomology_report(r, l, m, caps, route="kernel") == {
