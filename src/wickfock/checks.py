@@ -554,8 +554,12 @@ def check_hochschild(seed: int = 1, cases: int = 10) -> CheckReport:
             kernel_coboundary(kernel_coboundary(family)),
         )
 
-        # l + m <= 2 reaches slots of multiplicity 2, whose binomial weights are 2
+        # A slot of multiplicity 2 has binomial weight 2 on its degree-1 split, so
+        # every family gets an entry with e_0^2 in one slot; it draws nothing from
+        # rng, and 5 cannot cancel, as no drawn coefficient is -5.
+        square = tuple(MultiIndex({0: 2}) if i == case % arity else VACUUM for i in range(arity))
         small = rand_kernel_family(rng, arity, 2, 2, max_entries=2)
+        small = small + KernelFamily.single(arity, VACUUM, square, Scalar(5))
         caps = TruncationCaps(2, 2 + arity + 1)
         cochain = Cochain.from_kernels(small, caps)
         via_table = table_coboundary(cochain)

@@ -7,6 +7,12 @@ A Scalar holds its value as one reduced integer triple (a, b, d) meaning
 (a + b*i) / d, with d > 0 and gcd(a, b, d) == 1: a shared denominator, so a
 ring operation is a few integer products and one gcd, and equal values have
 equal fields.  ``re`` and ``im`` are Fractions computed on request.
+
+The operations skip work that cannot change the result.  A product with a
+factor equal to 1 (a Scalar, an int, a Fraction or True) and a quotient by 1
+return the other operand itself, not a copy: Scalars are immutable, so no
+caller can tell the two apart.  Operands with equal denominators add their
+numerators directly, and a result whose denominator is 1 needs no gcd.
 """
 
 from __future__ import annotations
@@ -58,9 +64,11 @@ class Scalar:
 
     The value (a + b*i) / d is stored as three ints in canonical form:
     d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1) and equal values have
-    equal fields.  Every operation builds its result through ``_raw``, which
-    restores the form with one gcd.  The fields are private and never
-    reassigned; ``re`` and ``im`` read them as Fractions.
+    equal fields.  Every operation builds its result through ``_canonical``,
+    which restores the form with one gcd, skipped when d == 1.  The fields
+    are private and never reassigned, so a product with a unit factor and a
+    quotient by 1 return the other operand itself: sharing an immutable
+    value is safe.  ``re`` and ``im`` read the fields as Fractions.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -70,19 +78,7 @@ class Scalar:
             if type(part) is bool or not isinstance(part, (int, Fraction)):
                 raise TypeError(f"Scalar parts must be int or Fraction, got {part!r}")
         dr, di = re.denominator, im.denominator
-        return cls._raw(re.numerator * di, im.numerator * dr, dr * di)
-
-    @classmethod
-    def _raw(cls, a: int, b: int, d: int) -> "Scalar":
-        """(a + b*i) / d from ints with d > 0, brought to canonical form."""
-        g = gcd(a, b, d)
-        if g != 1:
-            a, b, d = a // g, b // g, d // g
-        obj = _new(cls)
-        obj._a = a
-        obj._b = b
-        obj._d = d
-        return obj
+        return _canonical(re.numerator * di, im.numerator * dr, dr * di)
 
     @property
     def re(self) -> Fraction:
@@ -100,37 +96,53 @@ class Scalar:
             d, e = self._d, other._d
         except AttributeError:
             return NotImplemented
-        return Scalar._raw(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
+        if d == e:
+            return _canonical(self._a + other._a, self._b + other._b, d)
+        return _canonical(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         try:
             d, e = self._d, other._d
         except AttributeError:
             return NotImplemented
-        return Scalar._raw(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
+        if d == e:
+            return _canonical(self._a - other._a, self._b - other._b, d)
+        return _canonical(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __neg__(self) -> "Scalar":
-        return Scalar._raw(-self._a, -self._b, self._d)
+        return _canonical(-self._a, -self._b, self._d)
 
+    # A unit factor is (1, 0, 1) in canonical form, and p == q only for 1.
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            a, b, c, e = self._a, self._b, other._a, other._b
-            return Scalar._raw(a * c - b * e, a * e + b * c, self._d * other._d)
+        a, b, d = self._a, self._b, self._d
+        if other.__class__ is Scalar:
+            c, e, f = other._a, other._b, other._d
+            if c == f and not e:
+                return self
+            if a == d and not b:
+                return other
+            return _canonical(a * c - b * e, a * e + b * c, d * f)
         if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return Scalar._raw(self._a * p, self._b * p, self._d * other.denominator)
+            p, q = other.numerator, other.denominator
+            if p == q:
+                return self
+            return _canonical(a * p, b * p, d * q)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Scalar):
+        if other.__class__ is Scalar:
             # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
             c, e, f = other._a, other._b, other._d
+            if c == f and not e:
+                return self
             p, q = (self._a * c + self._b * e) * f, (self._b * c - self._a * e) * f
             n = c * c + e * e
         elif isinstance(other, (int, Fraction)):
             f, n = other.denominator, other.numerator
+            if f == n:
+                return self
             if n < 0:  # keep d > 0: the divisor's sign moves to the numerators
                 f, n = -f, -n
             p, q = self._a * f, self._b * f
@@ -138,14 +150,14 @@ class Scalar:
             return NotImplemented
         if not n:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar._raw(p, q, self._d * n)
+        return _canonical(p, q, self._d * n)
 
     def abs_squared(self) -> Fraction:
         """re**2 + im**2 as an exact rational."""
         return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def conjugate(self) -> "Scalar":
-        return Scalar._raw(self._a, -self._b, self._d)
+        return _canonical(self._a, -self._b, self._d)
 
     # -- comparisons / hashing ----------------------------------------------
 
@@ -179,6 +191,19 @@ class Scalar:
     @classmethod
     def from_json_fields(cls, obj: dict) -> "Scalar":
         return cls(parse_fraction(obj["re"]), parse_fraction(obj.get("im", "0")))
+
+
+def _canonical(a: int, b: int, d: int) -> Scalar:
+    """(a + b*i) / d from ints with d > 0, brought to canonical form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    obj = _new(Scalar)
+    obj._a = a
+    obj._b = b
+    obj._d = d
+    return obj
 
 
 ZERO = Scalar(0)

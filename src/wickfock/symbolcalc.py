@@ -44,7 +44,7 @@ from .fock import (
 )
 from .multiindex import VACUUM, MultiIndex, iter_index_tuples
 from .operators import BasisActionTable, apply_table
-from .scalars import ONE, ZERO, Scalar, _json_int
+from .scalars import ONE, ZERO, Scalar, _canonical, _json_int
 
 TermKey = tuple[tuple[MultiIndex, ...], MultiIndex]
 
@@ -260,7 +260,7 @@ def _exp_bracket_series(
         for t in ts:
             weight *= t.pairing_weight
             eta = eta.concat(t)
-        terms[(ts, eta)] = Scalar._raw(-1 if negate and eta.degree % 2 else 1, 0, weight)
+        terms[(ts, eta)] = _canonical(-1 if negate and eta.degree % 2 else 1, 0, weight)
     return SymbolPolynomial._raw(arity, terms, TruncationCaps(max_mode, max_degree))
 
 

@@ -926,14 +926,17 @@ BINOMIAL_MUTATIONS = {
 
 @pytest.mark.parametrize("mutation", BINOMIAL_MUTATIONS.values(), ids=BINOMIAL_MUTATIONS.keys())
 def test_check_suite_fails_on_a_wrong_binomial_weight(monkeypatch, mutation):
-    """The suite's route-agreement families reach slots of multiplicity 2,
+    """Every route-agreement family of the suite has a slot of multiplicity 2,
     where a binomial weight is not 1, so the table route, which never reads
-    the kernel route's weights, disagrees with a wrong one: 1 on every
-    split, C + 1 on the degree-1 splits of degree-2 labels, or C squared."""
-    assert run_suite("hochschild", seed=1).ok
+    the kernel route's weights, disagrees with a wrong one on every seed at a
+    single case: 1 on every split, C + 1 on the degree-1 splits of degree-2
+    labels, or C squared."""
+    seeds = range(1, 21)
+    assert all(run_suite("hochschild", seed=s, cases=1).ok for s in seeds)
     monkeypatch.setattr(hochschild, "binomial_product", mutation(hochschild.binomial_product))
-    report = run_suite("hochschild", seed=1)
-    assert "delta_routes_agree" in {failure.check for failure in report.failures}
+    for s in seeds:
+        report = run_suite("hochschild", seed=s, cases=1)
+        assert "delta_routes_agree" in {failure.check for failure in report.failures}, s
 
 
 @pytest.mark.parametrize("route", ["kernel", "table"])

@@ -78,14 +78,13 @@ def _assert_is(result, expected):
             assert result == int(re) and hash(result) == hash(int(re))
 
 
-@given(rationals, rationals, st.one_of(st.tuples(rationals, rationals), big_ints, rationals))
-def test_operations_match_a_fraction_pair_reference(re, im, other):
-    """Each operation on Scalars agrees with the same formula on (re, im) Fraction pairs.
+def _check_against_reference(xp, other):
+    """Each operation on Scalar(*xp) and ``other`` agrees with the Fraction-pair formula.
 
-    ``other`` is a Scalar (drawn as its pair), an int or a Fraction, of either sign.
+    ``other`` is a Scalar (given as its (re, im) pair), an int, a Fraction or a bool.
     """
+    re, im = xp
     x, y = Scalar(re, im), Scalar(*other) if isinstance(other, tuple) else other
-    xp = (re, im)
     yp = other if isinstance(other, tuple) else (Fraction(other), Fraction(0))
     _assert_is(x, xp)
     _assert_is(-x, (-re, -im))
@@ -98,6 +97,62 @@ def test_operations_match_a_fraction_pair_reference(re, im, other):
         _assert_is(x - y, (re - yp[0], im - yp[1]))
     if any(yp):
         _assert_is(x / y, _reference_div(xp, yp))
+
+
+@given(rationals, rationals, st.one_of(st.tuples(rationals, rationals), big_ints, rationals))
+def test_operations_match_a_fraction_pair_reference(re, im, other):
+    """``other`` is a Scalar (drawn as its pair), an int or a Fraction, of either sign."""
+    _check_against_reference((re, im), other)
+
+
+UNIT, NOUGHT = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
+
+
+@st.composite
+def fast_path_operands(draw):
+    """An (x, other) pair, as ``_check_against_reference`` takes them, on a fast path.
+
+    The checks put ``other`` on both sides of a product, so a unit drawn as
+    ``other`` is met on either side; x is the unit when ``other`` is a number.
+    """
+    d = draw(st.integers(min_value=1, max_value=2**40))
+
+    def over_d():  # the real numerator is 1 mod d, so the reduced denominator is d
+        return Fraction(draw(big_ints) * d + 1, d), Fraction(draw(big_ints), d)
+
+    def whole():
+        return Fraction(draw(big_ints)), Fraction(draw(big_ints))
+
+    x, number = over_d(), draw(st.one_of(big_ints, rationals))
+    case = draw(st.sampled_from(["unit", "unit_x", "zero", "zero_x", "same_d", "whole"]))
+    if case == "unit":  # -1 and i sit next to the units and must not take their path
+        near = [-1, (Fraction(0), Fraction(1))]
+        return x, draw(st.sampled_from([UNIT, 1, Fraction(1), True, *near]))
+    if case == "unit_x":
+        return UNIT, draw(st.sampled_from([x, number]))
+    if case == "zero":
+        return x, draw(st.sampled_from([NOUGHT, 0, Fraction(0), False]))
+    if case == "zero_x":
+        return NOUGHT, draw(st.sampled_from([x, number]))
+    w = whole()
+    if case == "same_d":  # x + x and x - x too; x + (w - x) comes out whole
+        return x, draw(st.sampled_from([over_d(), x, (w[0] - x[0], w[1] - x[1])]))
+    return w, draw(st.one_of(st.just(whole()), big_ints))
+
+
+@given(fast_path_operands())
+def test_fast_path_operands_match_the_reference(operands):
+    """Units, zeros, shared denominators and whole results give the reference values,
+    and a product with a unit factor or a quotient by 1 is an operand itself."""
+    xp, other = operands
+    _check_against_reference(xp, other)
+    x = Scalar(*xp)
+    y = Scalar(*other) if isinstance(other, tuple) else other
+    if y == 1 or (x == 1 and isinstance(y, Scalar)):
+        for product in (x * y, y * x):
+            assert product is x or product is y
+    if y == 1:
+        assert x / y is x
 
 
 @given(scalars, scalars, scalars)
