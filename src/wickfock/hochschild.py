@@ -12,7 +12,8 @@ Two realizations are provided and must agree:
   three kinds of terms become: drop the first slot, substitute
   x^(i) <- x^(i) + x^(i+1) (binomial expansion of each entry), and drop the
   last slot.  This is a pure polynomial operation: exact, no truncation, and
-  it preserves the output degree l and total slot degree m of every entry;
+  it preserves the output degree l and total slot degree m of every entry.
+  A slot's splits come from ``_splits``; an entry's terms cancel as ints;
 * the table route evaluates the defining formula row by row on a window and
   truncates values, which reproduces the symbol route tabulated there.  Every
   term sends a row of total degree D through an entry of stratum (l, m) to
@@ -111,19 +112,24 @@ class Cochain:
 
 
 def kernel_coboundary(family: KernelFamily) -> KernelFamily:
-    """The coboundary acting on kernel data; exact, stratum preserving.  Each
-    term is its entry's coefficient times one int: sign x binomial weight."""
+    """The coboundary acting on kernel data; exact, stratum preserving.  Slot
+    splits come from ``_splits``; an entry's terms, sign x binomial weight,
+    sum as ints by slot tuple, and each nonzero sum meets the coefficient."""
     r = family.arity
     signs = [_term_sign(i) for i in range(r + 2)]
     acc: dict = {}
     for (creation, slots), coeff in family.entries():
-        _add_term(acc, (creation, (VACUUM,) + slots), coeff * signs[0])
+        sums = {(VACUUM,) + slots: signs[0]}
         for i in range(1, r + 1):
             merged, head, tail = slots[i - 1], slots[: i - 1], slots[i:]
-            for left, right in merged.decompositions():
-                weight = signs[i] * binomial_product(merged, left)
-                _add_term(acc, (creation, head + (left, right) + tail), coeff * weight)
-        _add_term(acc, (creation, slots + (VACUUM,)), coeff * signs[r + 1])
+            for split in _splits(merged, 2):
+                key = head + split + tail
+                sums[key] = sums.get(key, 0) + signs[i] * binomial_product(merged, split[0])
+        key = slots + (VACUUM,)
+        sums[key] = sums.get(key, 0) + signs[r + 1]
+        for key, weight in sums.items():
+            if weight:
+                _add_term(acc, (creation, key), coeff * weight)
     return KernelFamily(r + 1)._like(acc)
 
 

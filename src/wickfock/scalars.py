@@ -54,9 +54,13 @@ def format_fraction(value: Fraction) -> str:
 
     Digits go through Decimal, which is exact and has no limit on their count.
     """
-    if value.denominator == 1:
-        return str(Decimal(value.numerator))
-    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+    return _ratio_text(value.numerator, value.denominator)
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """p/q, q > 0, in lowest terms as format_fraction renders it; one gcd."""
+    g = gcd(p, q)
+    return str(Decimal(p // g)) if g == q else f"{Decimal(p // g)}/{Decimal(q // g)}"
 
 
 class Scalar:
@@ -64,11 +68,11 @@ class Scalar:
 
     The value (a + b*i) / d is stored as three ints in canonical form:
     d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1) and equal values have
-    equal fields.  Every operation builds its result through ``_canonical``,
-    which restores the form with one gcd, skipped when d == 1.  The fields
-    are private and never reassigned, so a product with a unit factor and a
-    quotient by 1 return the other operand itself: sharing an immutable
-    value is safe.  ``re`` and ``im`` read the fields as Fractions.
+    equal fields.  Every operation but negation and conjugation (which keep
+    the form) restores it through ``_canonical``: one gcd, none when d == 1.
+    The fields are private and never reassigned, so a product with a unit
+    factor and a quotient by 1 return the other operand itself: sharing an
+    immutable value is safe.  ``re`` and ``im`` read them as Fractions.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -110,7 +114,7 @@ class Scalar:
         return _canonical(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __neg__(self) -> "Scalar":
-        return _canonical(-self._a, -self._b, self._d)
+        return _fields(-self._a, -self._b, self._d)
 
     # A unit factor is (1, 0, 1) in canonical form, and p == q only for 1.
     def __mul__(self, other):
@@ -157,7 +161,7 @@ class Scalar:
         return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def conjugate(self) -> "Scalar":
-        return _canonical(self._a, -self._b, self._d)
+        return _fields(self._a, -self._b, self._d)
 
     # -- comparisons / hashing ----------------------------------------------
 
@@ -186,7 +190,7 @@ class Scalar:
 
     def json_fields(self) -> dict:
         """The {"re": ..., "im": ...} fields used inside term objects."""
-        return {"re": format_fraction(self.re), "im": format_fraction(self.im)}
+        return {"re": _ratio_text(self._a, self._d), "im": _ratio_text(self._b, self._d)}
 
     @classmethod
     def from_json_fields(cls, obj: dict) -> "Scalar":
@@ -200,9 +204,14 @@ def _canonical(a: int, b: int, d: int) -> Scalar:
         if g != 1:
             a, b, d = a // g, b // g, d // g
     obj = _new(Scalar)
-    obj._a = a
-    obj._b = b
-    obj._d = d
+    obj._a, obj._b, obj._d = a, b, d
+    return obj
+
+
+def _fields(a: int, b: int, d: int) -> Scalar:
+    """(a + b*i) / d from a triple already in canonical form: no gcd."""
+    obj = _new(Scalar)
+    obj._a, obj._b, obj._d = a, b, d
     return obj
 
 

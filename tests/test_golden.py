@@ -81,6 +81,7 @@ CASES = {
     "cohomology_kernel_modes4": ["cohomology", "--r", "2", "--l", "0", "--m", "2", "--modes", "4"],
     "cohomology_kernel_r4": ["cohomology", "--r", "4", "--l", "0", "--m", "4", "--modes", "1"],
     "cohomology_kernel_r3": ["cohomology", "--r", "3", "--l", "1", "--m", "3", "--modes", "2"],
+    "cohomology_kernel_m3": ["cohomology", "--r", "2", "--l", "0", "--m", "3", "--modes", "3"],
     "check_all": ["check", "--suite", "all", "--cases", "3"],
     "check_help": ["check", "--help"],
 }
@@ -94,9 +95,14 @@ def test_cli_stdout_matches_golden(case):
 
 
 # Table-route cohomology of strata whose kernel-route output is already
-# golden, (r, l, m, modes) = (2, 1, 2, 3), (3, 1, 3, 2) and (2, 0, 2, 4):
-# the two routes must print the same bytes.
-TABLE_AS_KERNEL = ["cohomology_kernel_blocks", "cohomology_kernel_r3", "cohomology_kernel_modes4"]
+# golden, (r, l, m, modes) = (2, 1, 2, 3), (3, 1, 3, 2), (2, 0, 2, 4) and
+# (2, 0, 3, 3): the two routes must print the same bytes.
+TABLE_AS_KERNEL = [
+    "cohomology_kernel_blocks",
+    "cohomology_kernel_r3",
+    "cohomology_kernel_modes4",
+    "cohomology_kernel_m3",
+]
 
 
 @pytest.mark.parametrize("case", TABLE_AS_KERNEL)

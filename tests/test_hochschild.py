@@ -8,7 +8,13 @@ from random import Random
 import pytest
 
 import wickfock.hochschild as hochschild
-from wickfock.checks import hkr_block_ranks, minor_rank, rand_kernel_family, run_suite
+from wickfock.checks import (
+    hkr_block_ranks,
+    minor_rank,
+    rand_kernel_family,
+    rand_scalar,
+    run_suite,
+)
 from wickfock.errors import ComplexInconsistencyError, TruncationError
 from wickfock.expansion import extract_kernels, reconstruct
 from wickfock.fock import FockVector, TruncationCaps, wick_product
@@ -64,21 +70,47 @@ def test_delta_delta_is_zero_random():
 
 
 def _reference_kernel_coboundary(family: KernelFamily) -> KernelFamily:
-    """The reference: every term as an (I, slots, coefficient) triple, with
-    a Scalar sign, summed by the validating ``KernelFamily.from_entries``."""
+    """The reference: the (r+2)-term formula term by term, every term an
+    (I, slots, coefficient) triple with its own Scalar sign (-1)**i and
+    binomial weight over ``MultiIndex.decompositions()``, summed by the
+    validating ``KernelFamily.from_entries``.  It reads no library hook."""
     r = family.arity
-    sign = hochschild._term_sign
     triples = []
     for (creation, slots), coeff in family.entries():
-        triples.append((creation, (VACUUM,) + slots, coeff * sign(0)))
+        triples.append((creation, (VACUUM,) + slots, coeff))
         for i in range(1, r + 1):
             merged = slots[i - 1]
             for left, right in merged.decompositions():
-                weight = binomial_product(merged, left)
+                weight = Scalar(binomial_product(merged, left))
                 new_slots = slots[: i - 1] + (left, right) + slots[i:]
-                triples.append((creation, new_slots, coeff * Scalar(sign(i)) * weight))
-        triples.append((creation, slots + (VACUUM,), coeff * Scalar(sign(r + 1))))
+                triples.append((creation, new_slots, coeff * Scalar((-1) ** i) * weight))
+        triples.append((creation, slots + (VACUUM,), coeff * Scalar((-1) ** (r + 1))))
     return KernelFamily.from_entries(r + 1, triples)
+
+
+def _families_with_squares(seed: int, count: int) -> list[KernelFamily]:
+    """Seeded random families of arity 1-3 on 3 modes, 2-5 entries each, at
+    least two creation indices per family, every entry with a slot that
+    holds a mode at multiplicity >= 2 (so binomial weights above 1 occur)."""
+    rng = Random(seed)
+    creations = indices_of_degree(0, range(3)) + indices_of_degree(1, range(3))
+    families = []
+    for _ in range(count):
+        arity = rng.randint(1, 3)
+        triples = []
+        for k in range(rng.randint(2, 5)):
+            slots = [
+                rng.choice(indices_of_degree(rng.randint(0, 2), range(3))) for _ in range(arity)
+            ]
+            square = rng.randrange(arity)
+            slots[square] = slots[square].concat(mi([(rng.randrange(3), 2)]))
+            creation = creations[k] if k < 2 else rng.choice(creations)
+            triples.append((creation, tuple(slots), rand_scalar(rng, allow_zero=False)))
+        families.append(KernelFamily.from_entries(arity, triples))
+    return families
+
+
+SQUARE_FAMILIES = _families_with_squares(2417, 40)
 
 
 def test_kernel_coboundary_equals_reference_and_stores_no_zero():
@@ -97,6 +129,7 @@ def test_kernel_coboundary_equals_reference_and_stores_no_zero():
             ((VACUUM, slots), Scalar(rng.choice([-2, -1, 1, 2]))) for slots in entries
         ]))
     families += [kernel_coboundary(family) for family in families[:20]]
+    families += SQUARE_FAMILIES
     cancelled = 0
     for family in families:
         image = kernel_coboundary(family)
@@ -105,6 +138,16 @@ def test_kernel_coboundary_equals_reference_and_stores_no_zero():
         assert all(image.terms.values())
         cancelled += image.is_zero()
     assert cancelled >= 10
+
+
+def test_reference_test_fails_under_a_wrong_sign(monkeypatch):
+    """The reference reads no hook: with every sign 1, the library disagrees
+    with it on each family with squares (arities 1-3, two creations or more)."""
+    assert {family.arity for family in SQUARE_FAMILIES} == {1, 2, 3}
+    monkeypatch.setattr(hochschild, "_term_sign", lambda i: 1)
+    for family in SQUARE_FAMILIES:
+        assert len({creation for creation, _ in family.terms}) >= 2
+        assert kernel_coboundary(family) != _reference_kernel_coboundary(family)
 
 
 def test_table_and_kernel_routes_agree():
@@ -705,6 +748,27 @@ COHOMOLOGY_LADDER = [
 ]
 # The ladder and two strata with dim H > 0.
 CLOSED_FORM_STRATA = COHOMOLOGY_LADDER + [(3, 0, 3, 3), (3, 1, 3, 3)]
+
+
+def test_kernel_route_report_adds_no_splits_entry():
+    """Every split ``kernel_coboundary`` reads on the benchmark's ladder is
+    one the report's block bases already put in ``_splits``: the report
+    leaves the cache at the size that the bases alone give it.  Those bases
+    are arities r - 1, r and r + 1 of the first content of each sequence of
+    multiplicities (the block that is solved) and arity r of every other
+    content (the keys its cocycles are relabelled onto)."""
+    for r, l, m, modes in COHOMOLOGY_LADDER:
+        hochschild._splits.cache_clear()
+        cohomology_report(r, l, m, TruncationCaps(modes, l + m + r + 1))
+        reported = hochschild._splits.cache_info().currsize
+        hochschild._splits.cache_clear()
+        solved = set()
+        for content in indices_of_degree(m, range(modes)):
+            sequence = tuple(k for _, k in content.pairs)
+            for s in (r, r - 1, r + 1) if sequence not in solved else (r,):
+                hochschild._splits(content, s)
+            solved.add(sequence)
+        assert reported == hochschild._splits.cache_info().currsize, (r, l, m, modes)
 
 
 @pytest.mark.parametrize("route", ["kernel", "table"])

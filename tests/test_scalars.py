@@ -184,6 +184,7 @@ def test_fraction_strings():
 @given(rationals, rationals)
 def test_json_round_trip(re, im):
     s = Scalar(re, im)
+    assert s.json_fields() == {"re": format_fraction(re), "im": format_fraction(im)}
     assert Scalar.from_json_fields(s.json_fields()) == s
 
 
