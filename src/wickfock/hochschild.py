@@ -21,11 +21,11 @@ Two realizations are provided and must agree:
   zero after truncation and are not evaluated.  Neighbouring rows read X on
   the same tuples of basis labels, so X is read from a table of its values
   that lives for one coboundary call, each tuple evaluated once through
-  ``apply_kernel``.  Within the call each label is an int id, each
-  concatenation is made once per pair of ids, and the r + 2 terms of a row
-  are added into one id-keyed map; only the row's value goes back to labels.
-  ``_delta_table`` is that tabulator, for the window (``table_coboundary``)
-  and for each column of a stratum or block matrix (``coboundary_matrix``).
+  ``apply_kernel``.  Within the call each concatenation of two labels is
+  made once, and the r + 2 terms of a row are added into one label-keyed
+  map, the row's value.  ``_delta_table`` is that tabulator, for the window
+  (``table_coboundary``) and for each column of a stratum or block matrix
+  (``coboundary_matrix``).
 
 A table-route matrix tabulates each column on the codomain's own slot tuples
 and reads it with ``extract_kernels`` up to output degree l.  A column is
@@ -138,36 +138,27 @@ def kernel_coboundary(family: KernelFamily) -> KernelFamily:
 
 def _delta_table(family: KernelFamily, caps: TruncationCaps, rows) -> BasisActionTable:
     """The coboundary of ``family`` on ``rows`` by the defining alternating
-    sum, truncated to caps.  Labels are int ids for this call: those of rows,
-    of merged labels u_i u_{i+1} and of X's values, which are lists of
-    (id, coefficient) pairs, one ``apply_kernel`` call per label tuple.  A
-    term of sign 1 is added as it is, every other one times its sign."""
+    sum, truncated to caps, memoizing for the call each concatenation and
+    X's terms on each label tuple (one ``apply_kernel`` call each).  A term
+    of sign 1 is added as it is, every other one times its sign."""
     r = family.arity
     signs = [_term_sign(i) for i in range(r + 2)]
-    ids, labels, joined, values = {}, [], {}, {}  # pairs -> id, id -> label, memos
+    joined, values = {}, {}  # (a, b) -> a.concat(b), label tuple -> X's terms
 
-    def intern(label: MultiIndex) -> int:
-        i = ids.get(label.pairs)  # a tuple hashes without a Python call
-        if i is None:
-            i = ids[label.pairs] = len(labels)
-            labels.append(label)
-        return i
-
-    def concat(a: int, b: int) -> int:
+    def concat(a: MultiIndex, b: MultiIndex) -> MultiIndex:
         c = joined.get((a, b))
         if c is None:
-            c = joined[a, b] = intern(labels[a].concat(labels[b]))
+            c = joined[a, b] = a.concat(b)
         return c
 
-    def value_of(args: tuple) -> list:
+    def value_of(args: tuple):
         value = values.get(args)
         if value is None:
-            x = apply_kernel(family, [FockVector.basis(labels[a]) for a in args])
-            value = values[args] = [(intern(label), c) for label, c in x.terms.items()]
+            x = apply_kernel(family, [FockVector.basis(a) for a in args])
+            value = values[args] = x.terms.items()
         return value
 
-    def delta(row: tuple) -> FockVector:
-        u = tuple(map(intern, row))
+    def delta(u: tuple) -> FockVector:
         acc: dict = {}
         s = signs[0]
         for k, c in value_of(u[1:]):  # u_1 X(u_2, ..., u_{r+1})
@@ -179,7 +170,7 @@ def _delta_table(family: KernelFamily, caps: TruncationCaps, rows) -> BasisActio
         s = signs[r + 1]
         for k, c in value_of(u[:r]):  # X(u_1, ..., u_r) u_{r+1}
             _add_term(acc, concat(k, u[r]), c if s == 1 else c * s)
-        return FockVector._raw({labels[k]: c for k, c in acc.items()} if acc else acc)
+        return FockVector._raw(acc)
 
     return _tabulate(r + 1, caps, rows, delta)
 

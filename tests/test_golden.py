@@ -112,9 +112,13 @@ def test_table_route_cohomology_matches_the_kernel_golden(case):
     assert result.stdout_bytes == (GOLDEN / f"{case}.out").read_bytes()
 
 
-@pytest.mark.parametrize("case", ["cohomology_kernel_r4", "check_all", "wick"])
+@pytest.mark.parametrize(
+    "case",
+    ["cohomology_kernel_r4", "check_all", "wick", "cohomology_table_blocks", "delta_table_mixed"],
+)
 def test_module_entry_point_stdout_matches_golden(case):
-    """A real process: catches flush and encoding faults that CliRunner hides."""
+    """A real process: catches flush and encoding faults that CliRunner hides,
+    and, since labels hash by address, any output that follows hash order."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "wickfock.cli", *CASES[case]],

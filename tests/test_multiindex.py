@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from wickfock.multiindex import (
     VACUUM,
     MultiIndex,
+    _indices_of_degree,
     binomial_product,
     indices_of_degree,
     indices_up_to,
@@ -215,3 +218,84 @@ def test_ordering_is_lexicographic_on_pairs():
     c = MultiIndex([(1, 1)])
     assert sorted([c, b, a]) == [a, b, c]
     assert VACUUM < a
+
+
+# -- hash-consing ----------------------------------------------------------------
+
+TARGET_PAIRS = ((0, 2), (3, 1))
+
+
+def _made_equal_to_target() -> dict[str, MultiIndex]:
+    """The pattern TARGET_PAIRS made every way the library makes a label."""
+    target = MultiIndex(TARGET_PAIRS)
+    splits = MultiIndex([(0, 4), (3, 2)]).decompositions()
+    ((left, right),) = [s for s in splits if s[0].pairs == TARGET_PAIRS]
+    return {
+        "list": MultiIndex(list(TARGET_PAIRS)),
+        "dict": MultiIndex({3: 1, 0: 2}),
+        "unsorted": MultiIndex([(3, 1), (0, 2)]),
+        "duplicate modes": MultiIndex([(0, 1), (3, 1), (0, 1)]),
+        "zero multiplicity": MultiIndex([(0, 2), (1, 0), (3, 1)]),
+        "_raw": MultiIndex._raw(TARGET_PAIRS),
+        "concat": MultiIndex([(0, 1)]).concat(MultiIndex([(0, 1), (3, 1)])),
+        "increment": MultiIndex([(0, 2)]).increment(3),
+        "decrement": MultiIndex([(0, 2), (3, 2)]).decrement(3),
+        "decompositions left": left,
+        "decompositions right": right,
+        "from_json": MultiIndex.from_json([[0, 2], [3, 1]]),
+        "indices_of_degree": next(
+            a for a in indices_of_degree(3, [3, 0]) if a.pairs == TARGET_PAIRS
+        ),
+        "iter_index_tuples": next(
+            u[1] for u in iter_index_tuples(2, 3, [0, 3]) if u[1].pairs == TARGET_PAIRS
+        ),
+        "copy": copy.copy(target),
+        "deepcopy": copy.deepcopy(target),
+        "pickle": pickle.loads(pickle.dumps(target)),
+        "pickle protocol 0": pickle.loads(pickle.dumps(target, protocol=0)),
+    }
+
+
+def _not_the_target() -> list[str]:
+    """The ways in ``_made_equal_to_target`` that return a different object
+    from the constructor's; each must still have the target's pairs."""
+    target = MultiIndex(TARGET_PAIRS)
+    made = _made_equal_to_target()
+    assert all(a.pairs == TARGET_PAIRS for a in made.values())
+    return [name for name, a in made.items() if a is not target]
+
+
+def test_equal_patterns_are_one_object():
+    assert _not_the_target() == []
+    assert "__eq__" not in vars(MultiIndex) and "__hash__" not in vars(MultiIndex)
+    a = MultiIndex(TARGET_PAIRS)
+    assert a == MultiIndex(TARGET_PAIRS) and hash(a) == hash(MultiIndex(TARGET_PAIRS))
+    with pytest.raises(AttributeError):
+        a.pairs = ()
+
+
+def test_interning_test_fails_without_the_table(monkeypatch):
+    """With ``_raw`` building a fresh object each call, every way of making
+    the label fails the identity test above."""
+
+    def _raw(cls, pairs, degree=None):  # named so pickle finds it
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "pairs", pairs)
+        object.__setattr__(obj, "degree", sum(m for _, m in pairs))
+        return obj
+
+    _indices_of_degree.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(MultiIndex, "_raw", classmethod(_raw))
+            assert sorted(_not_the_target()) == sorted(_made_equal_to_target())
+    finally:
+        _indices_of_degree.cache_clear()  # drop labels made while patched
+    assert _not_the_target() == []
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), max_size=6))
+def test_constructor_returns_the_interned_label(p):
+    a = MultiIndex(p)
+    assert a is MultiIndex._raw(a.pairs)
+    assert a is MultiIndex(reversed(p))
