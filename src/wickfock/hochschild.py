@@ -21,8 +21,9 @@ Two realizations are provided and must agree:
   zero after truncation and are not evaluated.  Neighbouring rows read X on
   the same tuples of basis labels, so X is read from a table of its values
   that lives for one coboundary call, each tuple evaluated once through
-  ``apply_kernel``.  Within the call each concatenation of two labels is
-  made once, and the r + 2 terms of a row are added into one label-keyed
+  ``apply_kernel``.  Each concatenation of two labels is merged once per
+  process (``MultiIndex.concat`` keeps the results beside its intern
+  table), and the r + 2 terms of a row are added into one label-keyed
   map, the row's value.  ``_delta_table`` is that tabulator, for the window
   (``table_coboundary``) and for each column of a stratum or block matrix
   (``coboundary_matrix``).
@@ -138,18 +139,13 @@ def kernel_coboundary(family: KernelFamily) -> KernelFamily:
 
 def _delta_table(family: KernelFamily, caps: TruncationCaps, rows) -> BasisActionTable:
     """The coboundary of ``family`` on ``rows`` by the defining alternating
-    sum, truncated to caps, memoizing for the call each concatenation and
-    X's terms on each label tuple (one ``apply_kernel`` call each).  A term
-    of sign 1 is added as it is, every other one times its sign."""
+    sum, truncated to caps, memoizing for the call X's terms on each label
+    tuple (one ``apply_kernel`` call each); merged labels come from
+    ``MultiIndex.concat``'s process-wide memo.  A term of sign 1 is added
+    as it is, of sign -1 negated, any other one times its sign."""
     r = family.arity
     signs = [_term_sign(i) for i in range(r + 2)]
-    joined, values = {}, {}  # (a, b) -> a.concat(b), label tuple -> X's terms
-
-    def concat(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-        c = joined.get((a, b))
-        if c is None:
-            c = joined[a, b] = a.concat(b)
-        return c
+    values = {}  # label tuple -> X's terms
 
     def value_of(args: tuple):
         value = values.get(args)
@@ -162,14 +158,14 @@ def _delta_table(family: KernelFamily, caps: TruncationCaps, rows) -> BasisActio
         acc: dict = {}
         s = signs[0]
         for k, c in value_of(u[1:]):  # u_1 X(u_2, ..., u_{r+1})
-            _add_term(acc, concat(u[0], k), c if s == 1 else c * s)
+            _add_term(acc, u[0].concat(k), c if s == 1 else -c if s == -1 else c * s)
         for i in range(1, r + 1):  # X(..., u_i u_{i+1}, ...)
             s = signs[i]
-            for k, c in value_of(u[: i - 1] + (concat(u[i - 1], u[i]),) + u[i + 1 :]):
-                _add_term(acc, k, c if s == 1 else c * s)
+            for k, c in value_of(u[: i - 1] + (u[i - 1].concat(u[i]),) + u[i + 1 :]):
+                _add_term(acc, k, c if s == 1 else -c if s == -1 else c * s)
         s = signs[r + 1]
         for k, c in value_of(u[:r]):  # X(u_1, ..., u_r) u_{r+1}
-            _add_term(acc, concat(k, u[r]), c if s == 1 else c * s)
+            _add_term(acc, k.concat(u[r]), c if s == 1 else -c if s == -1 else c * s)
         return FockVector._raw(acc)
 
     return _tabulate(r + 1, caps, rows, delta)

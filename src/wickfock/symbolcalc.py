@@ -131,19 +131,24 @@ class SymbolPolynomial(_SparseMap):
     # -- evaluation and queries --------------------------------------------------
 
     def evaluate(self, xis: Sequence[TestVector], eta: TestVector) -> Scalar:
-        """Exact value at rational mode coefficients."""
+        """Exact value at rational mode coefficients; each argument's
+        monomial at an exponent is computed once per call."""
         if len(xis) != self.arity:
             raise ArityError("wrong number of slot arguments")
+        args = (*xis, eta)
+        memos = [{} for _ in args]  # per argument: exponent -> monomial
         total = ZERO
         for (slots, eta_exp), coeff in self.terms.items():
             value = coeff
-            for xi, exponent in zip(xis, slots):
+            for arg, memo, exponent in zip(args, memos, slots + (eta_exp,)):
                 if exponent.pairs:
-                    value = value * xi.monomial(exponent)
+                    monomial = memo.get(exponent)
+                    if monomial is None:
+                        monomial = memo[exponent] = arg.monomial(exponent)
+                    value = value * monomial
                     if not value:
                         break
             else:
-                value = value * eta.monomial(eta_exp)
                 total = total + value
         return total
 

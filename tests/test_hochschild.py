@@ -301,6 +301,43 @@ def test_table_coboundary_applies_the_sign_hook_to_every_term(monkeypatch):
     assert [table_coboundary(cochain) for cochain in cochains] == expected
 
 
+# The entry shapes of the benchmark's routes batch, as (creation, annihilation
+# per slot) in the mode letters a and b.
+ROUTES_SHAPES = [
+    [("", [""])],
+    [("a", [""]), ("", ["b"])],
+    [("a", ["b"]), ("b", ["b"])],
+    [("", ["", ""])],
+    [("a", ["", ""]), ("", ["", "b"])],
+    [("a", ["b", ""]), ("b", ["", "a"])],
+]
+
+
+def test_table_route_under_a_scaled_sign_hook_is_twice_the_kernel_route(monkeypatch):
+    """With a sign hook of 2 (-1)^i no term has sign 1 or -1, so every term
+    of the table route takes the generic product: on the routes shapes,
+    with either mode as a, the table is twice the kernel route's coboundary
+    tabulated on the same window.  A tabulator that negated every term of a
+    negative sign, or read the hook only for its sign, would fail."""
+    coeffs = [Scalar(Fraction(-2, 5)), Scalar(Fraction(3, 7), 1)]  # real, then complex
+    cases = []
+    for shape, modes in itertools.product(ROUTES_SHAPES, [{"a": 0, "b": 1}, {"a": 1, "b": 0}]):
+        def label(letters):
+            return mi([(modes[x], 1) for x in letters])
+
+        family = KernelFamily.from_entries(
+            len(shape[0][1]),
+            [(label(i), tuple(label(j) for j in js), c) for (i, js), c in zip(shape, coeffs)],
+        )
+        top = max(l + m for l, m in family.strata())
+        caps = TruncationCaps(2, top + family.arity + 1)
+        cases.append((Cochain.from_kernels(family, caps), reconstruct(kernel_coboundary(family), caps) * 2))
+    assert not all(expected.is_zero() for _, expected in cases)
+    monkeypatch.setattr(hochschild, "_term_sign", lambda i: 2 * (-1) ** i)
+    for cochain, expected in cases:
+        assert table_coboundary(cochain) == expected
+
+
 @pytest.mark.parametrize("patterns", [
     [(mi([(1, 1)]), (mi([(0, 2)]),)), (VACUUM, (mi([(0, 1), (1, 1)]),))],
     [(mi([(0, 1)]), (VACUUM, VACUUM)), (VACUUM, (VACUUM, mi([(1, 1)])))],

@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import pickle
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from wickfock.multiindex import (
     VACUUM,
+    _SUMS,
     MultiIndex,
     _indices_of_degree,
     binomial_product,
@@ -291,6 +293,7 @@ def test_interning_test_fails_without_the_table(monkeypatch):
             assert sorted(_not_the_target()) == sorted(_made_equal_to_target())
     finally:
         _indices_of_degree.cache_clear()  # drop labels made while patched
+        _SUMS.clear()  # and merges keyed or valued by them
     assert _not_the_target() == []
 
 
@@ -299,3 +302,53 @@ def test_constructor_returns_the_interned_label(p):
     a = MultiIndex(p)
     assert a is MultiIndex._raw(a.pairs)
     assert a is MultiIndex(reversed(p))
+
+
+# -- label data computed once ------------------------------------------------------
+
+
+def _concat_faults(a: MultiIndex, b: MultiIndex) -> list[str]:
+    """What is wrong with a.concat(b) and b.concat(a), each called twice (a
+    second call reads the memo): a result whose pattern is not the two
+    patterns merged by ``Counter``, or that is not the interned label."""
+    merged = Counter(dict(a.pairs)) + Counter(dict(b.pairs))
+    expected = tuple(sorted(merged.items()))
+    faults = []
+    for x, y in ((a, b), (b, a)):
+        for call in ("first", "second"):
+            got = x.concat(y)
+            if got.pairs != expected or got is not MultiIndex._raw(expected):
+                faults.append(f"{x!r}.concat({y!r}), {call} call: {got!r}")
+    return faults
+
+
+@given(indices, indices)
+def test_concat_is_the_interned_merge_cold_and_warm(a, b):
+    for key in ((a, b), (b, a)):
+        _SUMS.pop(key, None)
+    assert _concat_faults(a, b) == []
+    memoized = bool(a.pairs and b.pairs)  # a vacuum operand is answered before the memo
+    assert ((a, b) in _SUMS) == memoized and ((b, a) in _SUMS) == memoized
+
+
+@pytest.mark.parametrize("planted", ["wrong pattern", "not interned"])
+def test_concat_test_fails_on_a_wrong_memo_entry(monkeypatch, planted):
+    a, b = MultiIndex([(0, 1)]), MultiIndex([(0, 1), (3, 1)])
+    assert _concat_faults(a, b) == []
+    if planted == "wrong pattern":
+        wrong = MultiIndex([(0, 1), (3, 1)])
+    else:
+        wrong = object.__new__(MultiIndex)
+        object.__setattr__(wrong, "pairs", a.concat(b).pairs)
+    monkeypatch.setitem(_SUMS, (a, b), wrong)
+    assert len(_concat_faults(a, b)) == 2  # both calls in the planted order
+
+
+@given(indices)
+def test_pairing_weight_is_stored_on_the_label(a):
+    assert a.pairing_weight == math.prod(math.factorial(r) for _, r in a.pairs)
+    assert "pairing_weight" in MultiIndex.__slots__
+    with pytest.raises(AttributeError):
+        a.pairing_weight = 1
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b is a and b.pairing_weight == a.pairing_weight

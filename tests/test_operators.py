@@ -301,6 +301,32 @@ def test_reachable_rows_hold_under_broken_ladder_constants(monkeypatch, hook, br
     _assert_equals_full_product_table(cases)
 
 
+def test_ladder_hooks_are_read_afresh_after_memos_are_warm(monkeypatch):
+    """Label data is memoized across calls (``MultiIndex.concat``, the label
+    enumerations), so one tabulation warms every memo first.  Breaking
+    either ladder hook must still change the next ``table_from_kernel`` and
+    ``apply_kernel`` results, and restoring it must give the first table
+    back: no memo may hold a value a hook produced."""
+    family = KernelFamily.from_entries(
+        2,
+        [
+            (mi([(1, 1)]), (mi([(0, 2)]), VACUUM), Scalar(2, 1)),
+            (VACUUM, (mi([(0, 1)]), mi([(0, 1), (2, 1)])), Scalar(-1)),
+        ],
+    )
+    caps = TruncationCaps(3, 4)
+    args = [e(mi([(0, 3)])), e(mi([(0, 2), (2, 1)]))]
+    table, value = table_from_kernel(family, caps), apply_kernel(family, args)
+    assert not value.is_zero()
+    for hook, broken in BROKEN_LADDERS:
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, hook, broken)
+            assert table_from_kernel(family, caps) != table, hook
+            assert apply_kernel(family, args) != value, hook
+        assert table_from_kernel(family, caps) == table
+        assert apply_kernel(family, args) == value
+
+
 def _reaches(family, caps, row):
     """Some entry (I, J) with I and each J_j in the caps has J_j <= A_j
     componentwise and degree(I) + sum(degree(A_j - J_j)) <= max_degree."""
