@@ -82,7 +82,9 @@ def _write_json(obj, write) -> None:
     since multi-index pairs such as ``[0, 2]`` repeat throughout a basis.
     Types are tested as json tests them, so subclasses render as their base,
     in the order of their frequency in the output (lists, dicts, strings), and
-    a dict's string values are written with their keys.
+    a dict's string values are written with their keys.  A plain int is
+    written by ``int.__repr__``, as json writes it; other leaves, bools and
+    int subclasses among them, go through ``json.dumps``.
     """
     memo: dict = {}
     out: list = []
@@ -132,6 +134,8 @@ def _write_json(obj, write) -> None:
             append(nl + "}")
         elif isinstance(o, str):
             append(encode_basestring_ascii(o))
+        elif o.__class__ is int:
+            append(int.__repr__(o))
         else:
             append(json.dumps(o))
 

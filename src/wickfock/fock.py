@@ -14,9 +14,9 @@ Everything is exact: coefficients are Gaussian rationals.  Fock vectors, test
 vectors, kernel families and basis-action tables (``operators``) and symbol
 polynomials (``symbolcalc``) are all finite linear combinations over a set of
 keys (a table's values are Fock vectors, the others' scalars); their
-``+``, ``-``, scalar ``*``, equality and immutability are written once, in
-``_SparseMap``, and each class adds only its key validation, fixed fields,
-queries and JSON form.
+``+``, ``-``, scalar ``*``, equality, immutability and copying are written
+once, in ``_SparseMap``, and each class adds only its key validation, fixed
+fields, queries and JSON form.
 """
 
 from __future__ import annotations
@@ -102,6 +102,11 @@ class _SparseMap:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the set slots here, past __setattr__
+        for name, value in state[1].items():
+            _set(self, name, value)
 
     def __add__(self, other):
         if other.__class__ is not self.__class__:

@@ -97,24 +97,27 @@ def annihilate_by(index: MultiIndex, x: FockVector) -> FockVector:
     A term e_A goes to zero unless J fits A (s_j <= r_j on every mode), and
     otherwise to ``prod_j c'(r_j) c'(r_j - 1) ... c'(r_j - s_j + 1) e_{A - J}``:
     one pass per term, the annihilation hook called once per quantum, and one
-    Scalar x int.
+    Scalar x int.  J's pairs are walked alongside each A's, both sorted by
+    mode; a J mode that A lacks, before A's last or after it, fails the fit.
     """
-    if not index.pairs:
+    drop = index.pairs
+    if not drop:
         return x
-    drop = dict(index.pairs)
     terms: dict[MultiIndex, Scalar] = {}
     for a, coeff in x.terms.items():
         factor, hit, rest = 1, 0, []
         for mode, r in a.pairs:
-            s = drop.get(mode, 0)
-            if s > r:
-                break
-            if s:
+            if hit < len(drop) and drop[hit][0] <= mode:
+                j, s = drop[hit]
+                if j < mode or s > r:
+                    break
                 hit += 1
                 for k in range(r, r - s, -1):
                     factor *= _annihilation_coefficient(k)
-            if r > s:
-                rest.append((mode, r - s))
+                if r > s:
+                    rest.append((mode, r - s))
+            else:
+                rest.append((mode, r))
         else:
             if hit == len(drop) and factor:
                 terms[MultiIndex._raw(tuple(rest))] = coeff * factor
@@ -253,7 +256,7 @@ def apply_kernel(family: KernelFamily, args: Sequence[FockVector]) -> FockVector
         prod_vec: FockVector | None = None
         for annihilation, arg in zip(annihilations, args):
             piece = annihilate_by(annihilation, arg)
-            if not piece:
+            if not piece.terms:
                 break
             prod_vec = piece if prod_vec is None else wick_product(prod_vec, piece)
         else:
@@ -271,10 +274,11 @@ class BasisActionTable(_SparseMap):
     ``_key`` checks that each row has r labels admitted by ``caps``, and
     ``__init__`` that the summed values' terms are admitted too.  ``_raw``
     trusts all of this; the library's own tables, with rows drawn from the
-    caps and values inside them, are built by it.
+    caps and values inside them, are built by it.  ``_symbol`` holds the
+    table's polynomial once ``symbolcalc.symbol_poly`` has built it.
     """
 
-    __slots__ = ("arity", "caps")
+    __slots__ = ("arity", "caps", "_symbol")
 
     def __init__(self, arity: int, caps: TruncationCaps, action: dict | Iterable = ()):
         if arity < 1:

@@ -22,7 +22,8 @@ outside it is ever formed; a window wider than the polynomial's own is refused.
 The coupling factor is 1 plus terms that raise the output degree, so the
 quotient at output degree k reads only output levels <= k: a caller that
 keeps only low output degrees passes an output bound, and the division
-stops there while the slot degrees keep the window's bound.
+stops there while the slot degrees keep the window's bound.  A table's
+polynomial and each window's series, sorted by output degree, are built once.
 """
 
 from __future__ import annotations
@@ -228,15 +229,21 @@ def symbol_poly(table: BasisActionTable) -> SymbolPolynomial:
     Each stored row (A_1, ..., A_r) -> value contributes the monomials
     ``prod_j x^(j)^{A_j} / A_j!`` times the value's output polynomial
     ``sum_B value_B y^B``.
+    Tables are immutable, so the polynomial is built on the first call, kept
+    on the table, and returned by every later call: it must not be mutated.
     """
-    terms: dict[TermKey, Scalar] = {}
-    for row, value in table.action.items():
-        weight = 1
-        for label in row:
-            weight *= label.pairing_weight
-        for out_index, coeff in value.terms.items():
-            terms[(row, out_index)] = coeff / weight
-    return SymbolPolynomial._raw(table.arity, terms, table.caps)
+    poly = getattr(table, "_symbol", None)
+    if poly is None:
+        terms: dict[TermKey, Scalar] = {}
+        for row, value in table.action.items():
+            weight = 1
+            for label in row:
+                weight *= label.pairing_weight
+            for out_index, coeff in value.terms.items():
+                terms[(row, out_index)] = coeff / weight
+        poly = SymbolPolynomial._raw(table.arity, terms, table.caps)
+        _set(table, "_symbol", poly)
+    return poly
 
 
 def exp_bracket_poly(
@@ -249,7 +256,8 @@ def exp_bracket_poly(
     the concatenation of all T_j; kept while every degree fits the window,
     that is, while the total degree does.
     The series is built once per (arity, window, sign) and shared between
-    callers: the returned polynomial must not be mutated.
+    callers: the returned polynomial must not be mutated.  Its terms are
+    stored in order of output degree, so the constant 1 comes first.
     """
     return _exp_bracket_series(arity, caps.max_mode, caps.max_degree, negate)
 
@@ -266,6 +274,7 @@ def _exp_bracket_series(
             weight *= t.pairing_weight
             eta = eta.concat(t)
         terms[(ts, eta)] = _canonical(-1 if negate and eta.degree % 2 else 1, 0, weight)
+    terms = dict(sorted(terms.items(), key=_output_degree))
     return SymbolPolynomial._raw(arity, terms, TruncationCaps(max_mode, max_degree))
 
 
@@ -278,7 +287,7 @@ def reduced_symbol(
     plus terms that raise the output degree: level by level upward, what is
     left of a level is quotient, and its products with E - 1 leave the levels
     above.  It equals ``poly.mul(exp_bracket_poly(..., negate=True), caps)``
-    at a cost of |quotient| x |E|.
+    at a cost of |quotient| x |E|; E comes sorted by output degree.
 
     ``caps`` defaults to the caps the polynomial was built with.  For
     polynomials of tables generated by a kernel family inside the window,
@@ -305,9 +314,10 @@ def reduced_symbol(
         if eta.degree <= top and all(u.degree <= bound for u in slots):
             levels[eta.degree][(slots, eta)] = coeff
     # E's output degree is its total degree, so its terms past ``top`` are
-    # never used; the constant term 1 is the only one of output degree 0
+    # never used; the constant term 1 is the only one of output degree 0,
+    # and E stores it first, its other terms sorted by output degree after it
     series = exp_bracket_poly(poly.arity, TruncationCaps(caps.max_mode, top))
-    tail = sorted(series.terms.items(), key=_output_degree)[1:]
+    tail = list(series.terms.items())[1:]
     quotient = (term for level in levels for term in level.items())
     for key, value in _products(quotient, tail, bound, top):
         _add_term(levels[key[1].degree], key, -value)

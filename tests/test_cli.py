@@ -7,11 +7,12 @@ import subprocess
 import sys
 from collections import OrderedDict
 from decimal import Decimal
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import wickfock.operators
@@ -379,8 +380,18 @@ class _Text(str):
     """A str subclass: json renders it as a string, so the writer must too."""
 
 
+class _Level(IntEnum):
+    """An int subclass: json renders it by int.__repr__, as a number."""
+
+    LOW = 1
+    HIGH = 2**70
+
+
 _tricky_text = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001d11e'))
-_json_leaves = st.none() | st.booleans() | st.integers() | _tricky_text | _tricky_text.map(_Text)
+_json_leaves = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from(_Level)
+    | _tricky_text | _tricky_text.map(_Text)
+)
 _json_trees = st.recursive(
     _json_leaves,
     lambda kids: (
@@ -394,6 +405,8 @@ _json_trees = st.recursive(
 
 
 @given(_json_trees)
+@example({"flag": True, "level": _Level.HIGH, "big": 2**64 + 1, "neg": -(2**80)})
+@example([True, False, 2**64, _Level.LOW, 0])
 def test_writer_matches_json_dumps_indent_2(obj):
     assert _written(obj) == json.dumps(obj, indent=2)
 

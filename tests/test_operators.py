@@ -1,8 +1,11 @@
 from fractions import Fraction
 from itertools import product
 from random import Random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wickfock.checks import (
     rand_fock,
@@ -179,6 +182,26 @@ def test_closed_form_ladders_equal_per_quantum_composition(monkeypatch, hook, br
             got = closed(index, x)
             assert got == _ladder_by_quanta(step, index, x)
             assert all(got.terms.values())
+
+
+_labels = st.builds(MultiIndex, st.lists(st.tuples(st.integers(0, 4), st.integers(1, 3)), max_size=3))
+_coeffs = st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3)).filter(bool)
+_vectors = st.dictionaries(_labels, _coeffs, max_size=4).map(FockVector)
+
+
+@given(_labels, _vectors)
+@example(VACUUM, FockVector({mi({0: 1, 2: 3}): ONE}))  # vacuum J
+@example(mi({1: 1}), FockVector({mi({0: 2, 2: 1}): ONE}))  # a J mode A lacks
+@example(mi({0: 1, 3: 1}), FockVector({mi({0: 2, 2: 1}): ONE}))  # a J mode past A's last
+def test_annihilate_by_is_one_annihilation_per_quantum(index, x):
+    """The walk of J's pairs alongside A's against the per-quantum oracle,
+    with the real hook and a broken one it must read once per quantum."""
+    assert annihilate_by(index, x) == _ladder_by_quanta(apply_annihilation, index, x)
+    with patch.object(operators, "_annihilation_coefficient", lambda m: m + 1):
+        broken = annihilate_by(index, x)
+        assert broken == _ladder_by_quanta(apply_annihilation, index, x)
+    if index.pairs and broken:
+        assert broken != annihilate_by(index, x)
 
 
 def test_kernel_family_validation():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -6,6 +8,7 @@ import pytest
 import wickfock.symbolcalc as symbolcalc
 from wickfock.checks import rand_kernel_family, rand_scalar, rand_test_vector
 from wickfock.errors import ArityError, TruncationError
+from wickfock.expansion import extract_kernels
 from wickfock.fock import FockVector, TestVector, TruncationCaps
 from wickfock.multiindex import VACUUM, MultiIndex, indices_up_to
 from wickfock.operators import BasisActionTable, KernelFamily, table_from_kernel
@@ -104,6 +107,41 @@ def test_symbol_poly_number_operator_factors():
 def test_symbol_poly_zero_table():
     caps = TruncationCaps(2, 2)
     assert symbol_poly(BasisActionTable(2, caps, {})).is_zero()
+
+
+def _memo_case():
+    caps = TruncationCaps(2, 3)
+    family = rand_kernel_family(Random(67), 2, 2, 2)
+    return family, table_from_kernel(family, caps)
+
+
+def test_symbol_poly_is_built_once_per_table():
+    family, table = _memo_case()
+    poly = symbol_poly(table)
+    assert symbol_poly(table) is poly
+    fresh = BasisActionTable(table.arity, table.caps, dict(table.action))
+    assert symbol_poly(fresh) == poly
+    twin = table_from_kernel(family, table.caps)
+    assert twin == table and symbol_poly(twin) is not poly
+
+
+def test_symbol_memo_leaves_equality_copy_and_pickle_alone():
+    _, table = _memo_case()
+    before = [copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))]
+    symbol_poly(table)
+    after = [copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))]
+    for other in before + after:
+        assert other == table and table == other
+        assert symbol_poly(other) == symbol_poly(table)
+    assert pickle.loads(pickle.dumps(symbol_poly(table))) == symbol_poly(table)
+
+
+def test_extract_kernels_reads_the_kept_symbol():
+    family, table = _memo_case()
+    assert extract_kernels(table) == family
+    planted = SymbolPolynomial(table.arity, {((VACUUM,) * table.arity, VACUUM): ONE}, table.caps)
+    object.__setattr__(table, "_symbol", planted)
+    assert extract_kernels(table) != family
 
 
 def test_poly_evaluation_matches_numeric():
@@ -264,6 +302,9 @@ def test_exp_bracket_series_is_built_once_per_window():
     assert shared == symbolcalc._exp_bracket_series.__wrapped__(2, 2, 3, True)
     assert shared.caps == caps
     assert exp_bracket_poly(2, caps) != shared
+    # stored by output degree, the constant 1 first: reduced_symbol reads it so
+    degrees = [eta.degree for _, eta in shared.terms]
+    assert degrees == sorted(degrees) and degrees.count(0) == 1
 
 
 @pytest.mark.parametrize("arity, max_mode, max_degree", [
