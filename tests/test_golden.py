@@ -62,6 +62,10 @@ CASES = {
     "delta_table_caps": [
         "delta", _in("kernel_1.json"), "--route", "table", "--max-mode", "1", "--max-degree", "5",
     ],
+    "delta_table_reach": [
+        "delta", _in("kernel_reach.json"), "--route", "table",
+        "--max-mode", "2", "--max-degree", "5",
+    ],
     "cohomology_kernel": ["cohomology", "--r", "1", "--l", "1", "--m", "2", "--modes", "3"],
     "cohomology_table": [
         "cohomology", "--r", "1", "--l", "1", "--m", "2", "--modes", "3", "--route", "table",
@@ -114,7 +118,14 @@ def test_table_route_cohomology_matches_the_kernel_golden(case):
 
 @pytest.mark.parametrize(
     "case",
-    ["cohomology_kernel_r4", "check_all", "wick", "cohomology_table_blocks", "delta_table_mixed"],
+    [
+        "cohomology_kernel_r4",
+        "check_all",
+        "wick",
+        "cohomology_table_blocks",
+        "delta_table_mixed",
+        "delta_table_reach",
+    ],
 )
 def test_module_entry_point_stdout_matches_golden(case):
     """A real process: catches flush and encoding faults that CliRunner hides,
