@@ -14,32 +14,34 @@ Two realizations are provided and must agree:
   last slot.  This is a pure polynomial operation: exact, no truncation, and
   it preserves the output degree l and total slot degree m of every entry.
   A slot's splits come from ``_splits``; an entry's terms cancel as ints;
-* the table route evaluates the defining formula row by row on a window and
-  truncates values, which reproduces the symbol route tabulated there.  Every
-  term sends a row of total degree D through an entry of stratum (l, m) to
-  degree D - m + l, so rows past max_degree - l + m for every stratum are
-  zero after truncation and are not evaluated.  Neighbouring rows read X on
-  the same tuples of basis labels, so X is read from a table of its values
-  that lives for one coboundary call, each tuple evaluated once through
-  ``apply_kernel``.  Each concatenation of two labels is merged once per
-  process (``MultiIndex.concat`` keeps the results beside its intern
-  table), and the r + 2 terms of a row are added into one label-keyed
-  map, the row's value.  ``_delta_table`` is that tabulator, for the window
-  (``table_coboundary``) and for each column of a stratum or block matrix
-  (``coboundary_matrix``).
+* the table route evaluates the defining formula row by row and truncates
+  values, which reproduces the symbol route tabulated on the window.
+  Neighbouring rows read X on the same tuples of basis labels, so X is read
+  from a table of its values that lives for one coboundary call, each tuple
+  evaluated once through ``apply_kernel``.  Each concatenation of two labels
+  is merged once per process (``MultiIndex.concat`` keeps the results beside
+  its intern table), and the r + 2 terms of a row are added into one
+  label-keyed map, the row's value.  ``_delta_table`` is that tabulator, for
+  the window (``table_coboundary``) and for each column of a stratum or block
+  matrix (``coboundary_matrix``).
 
-A table-route matrix tabulates each column on the codomain's own slot tuples
-and reads it with ``extract_kernels`` up to output degree l.  A column is
-one entry (I, (J_1, ..., J_r)) of stratum (l, m), of content C.  Every term
-of dX(u) evaluates X on labels that concatenate to at most concat(u), and X
-vanishes unless each label is at least its J_j, so dX(u) != 0 needs
-concat(u) >= C.  Below a codomain tuple S (slot by slot), whose
-concatenation has degree m as C has, S is then the only row that can be
-nonzero, so the symbol read at S is exact; and every value has output
-degree l, so the division adds nothing up to l and every extracted entry
-sits on a row.  Every label tuple still goes through ``apply_kernel``, every
-column through ``extract_kernels``, and an entry that leaves the block
-still raises.
+The table route has one row rule, the least rows of one entry's coboundary
+(``_delta_shapes``): the entry's slots with one slot J_i replaced by a pair
+from ``_splits(J_i, 2)``, the vacuum splits of slots 1 and r giving the
+outer terms' rows.  X is nonzero only on labels at least its slots, so dX(u)
+can be nonzero only on rows at least a least row; the rule reads no sign and
+no binomial weight.  Every term sends a row of total degree D through an
+entry (I, J) of slot degree m to output degree deg I + D - m, so
+``table_coboundary`` evaluates the up-sets of the least rows within
+max_degree - deg I, through the ``_reachable_rows`` of ``table_from_kernel``;
+every other row truncates to zero.  A matrix column is one entry,
+homogeneous of slot degree m like every codomain row and least row, so a
+codomain row is at least a least row only by being one: the column is
+tabulated on its least rows alone, no row below them is nonzero, and the
+symbol read there is exact.  Every value has output degree l, so
+``extract_kernels`` up to l reads every entry, each on a row; every label
+tuple still goes through ``apply_kernel``, and an entry that leaves the
+block still raises.
 
 Zero-cochains are algebra elements; the algebra is commutative, so their
 coboundary (the commutator cochain) vanishes identically: every column of an
@@ -80,14 +82,15 @@ from functools import lru_cache
 from .errors import ComplexInconsistencyError, TruncationError
 from .expansion import extract_kernels
 from .fock import FockVector, TruncationCaps, _add_term
-from .multiindex import (
-    VACUUM,
-    MultiIndex,
-    binomial_product,
-    indices_of_degree,
-    iter_index_tuples,
+from .multiindex import VACUUM, MultiIndex, binomial_product, indices_of_degree
+from .operators import (
+    BasisActionTable,
+    KernelFamily,
+    _reachable_rows,
+    _tabulate,
+    apply_kernel,
+    basis_labels,
 )
-from .operators import BasisActionTable, KernelFamily, _tabulate, _window_rows, apply_kernel
 from .scalars import ONE, Scalar
 
 
@@ -137,6 +140,14 @@ def kernel_coboundary(family: KernelFamily) -> KernelFamily:
 # -- coboundary, table route -----------------------------------------------------
 
 
+def _delta_shapes(slots: tuple) -> dict:
+    """The least rows of the coboundary of an entry with these slots, in
+    order: the slots with one replaced by a split from ``_splits``."""
+    return dict.fromkeys(
+        slots[:i] + pair + slots[i + 1 :] for i, j in enumerate(slots) for pair in _splits(j, 2)
+    )
+
+
 def _delta_table(family: KernelFamily, caps: TruncationCaps, rows) -> BasisActionTable:
     """The coboundary of ``family`` on ``rows`` by the defining alternating
     sum, truncated to caps, memoizing for the call X's terms on each label
@@ -176,16 +187,18 @@ def table_coboundary(cochain: Cochain) -> BasisActionTable:
 
     Requires caps wide enough for every entry of the cochain:
     max_degree >= l + m + arity + 1, so each term of the defining formula is
-    exactly representable on the window.  Each of the r + 2 terms sends a
-    row of total degree D through an entry of stratum (l, m) to degree
-    D - m + l, so only the rows the cochain's own strata keep within
-    max_degree are evaluated; every other row truncates to zero.
+    exactly representable on the window.  The rows evaluated are the up-sets
+    of each entry's least rows within max_degree - deg I, from
+    ``_reachable_rows`` (module docstring); every other row truncates to
+    zero.  Values are still truncated, since another entry of a mixed-stratum
+    cochain may reach the same row past the caps.
     """
     family, caps = cochain.kernels, cochain.caps
     r = family.arity
     for l, m in family.strata():
         _check_caps(r, l, m, caps)
-    return _delta_table(family, caps, _window_rows(r + 1, caps, family))
+    least = (((i, shape), None) for i, slots in family.terms for shape in _delta_shapes(slots))
+    return _delta_table(family, caps, _reachable_rows(least, caps, basis_labels(caps)))
 
 
 def polydiff_degree(cochain: Cochain) -> tuple[int, int] | None:
@@ -214,9 +227,7 @@ def stratum_basis(r: int, l: int, m: int, caps: TruncationCaps):
         return indices_of_degree(l, modes) if m == 0 else []
     # Pairs of a sorted creation list and a sorted slot-tuple list, creation
     # outermost, come out in sorted order: no sort over the whole basis.
-    slot_tuples = sorted(
-        s for s in iter_index_tuples(r, m, modes) if sum(u.degree for u in s) == m
-    )
+    slot_tuples = sorted(s for c in indices_of_degree(m, modes) for s in _splits(c, r))
     return [(creation, slots) for creation in indices_of_degree(l, modes) for slots in slot_tuples]
 
 
@@ -367,16 +378,14 @@ def coboundary_matrix(
         codomain = [(creation, slots) for slots in _splits(content, r + 1)]
     if r == 0:  # the coboundary of an algebra element vanishes
         return RationalMatrix.zeros(len(codomain), len(domain))
-    if route == "table":  # the codomain's own slot tuples (module docstring)
-        tuples = dict.fromkeys(slots for _, slots in codomain)
     index = {key: i for i, key in enumerate(codomain)}
     rows = [[] for _ in codomain]  # walked column by column, so each row comes out sorted
     for j, (creation, slots) in enumerate(domain):
         family = KernelFamily.single(r, creation, slots)
         if route == "kernel":
             image = kernel_coboundary(family)
-        else:
-            image = extract_kernels(_delta_table(family, caps, tuples), max_output=l)
+        else:  # the column's own least rows (module docstring)
+            image = extract_kernels(_delta_table(family, caps, _delta_shapes(slots)), max_output=l)
         for entry, coeff in image.terms.items():
             i = index.get(entry)
             if i is None:

@@ -258,19 +258,17 @@ def indices_up_to(max_degree: int, modes: Sequence[int]) -> list[MultiIndex]:
 
 
 def iter_index_tuples(
-    slots: int, total_degree: int, modes: Sequence[int], slot_degree: int | None = None
+    slots: int, total_degree: int, modes: Sequence[int]
 ) -> Iterator[tuple[MultiIndex, ...]]:
-    """All slot-tuples of multi-indices with total degree <= total_degree,
-    and each slot of degree <= slot_degree when that is given."""
-    top = total_degree if slot_degree is None else min(total_degree, slot_degree)
+    """All slot-tuples of multi-indices with total degree <= total_degree."""
     modes = tuple(sorted(set(modes)))
-    per_degree = [_indices_of_degree(d, modes) for d in range(top + 1)]
+    per_degree = [_indices_of_degree(d, modes) for d in range(total_degree + 1)]
 
     def walk(slot: int, budget: int, prefix: tuple[MultiIndex, ...]):
         if slot == slots:
             yield prefix
             return
-        for d in range(min(budget, top) + 1):
+        for d in range(budget + 1):
             for idx in per_degree[d]:
                 yield from walk(slot + 1, budget - d, prefix + (idx,))
 

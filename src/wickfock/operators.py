@@ -21,7 +21,7 @@ argument label tuples to values.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import ArityError, TruncationError
 from .fock import (
@@ -34,7 +34,7 @@ from .fock import (
     truncate,
     wick_product,
 )
-from .multiindex import MultiIndex, binomial_product, indices_up_to, iter_index_tuples
+from .multiindex import MultiIndex, binomial_product, indices_up_to
 from .scalars import Scalar, _json_int
 
 
@@ -376,27 +376,20 @@ def _tabulate(
     return BasisActionTable._raw(arity, caps, action)
 
 
-def _window_rows(arity: int, caps: TruncationCaps, family: KernelFamily) -> Iterator:
-    """The arity-tuples of labels admitted by the caps whose total degree is
-    at most max(max_degree - l + m) over the family's strata (l, m); none
-    for an empty family."""
-    budget = max((caps.max_degree - l + m for l, m in family.strata()), default=-1)
-    return iter_index_tuples(arity, budget, range(caps.max_mode), caps.max_degree)
+def _reachable_rows(entries: Iterable, caps: TruncationCaps, labels: Collection) -> dict:
+    """The rows at least some entry's least row within its creation budget,
+    each mapped to the payloads of the entries that reach it.
 
-
-def _reachable_rows(family: KernelFamily, caps: TruncationCaps, labels: Collection) -> dict:
-    """The rows ``table_from_kernel`` evaluates (see there), each mapped to
-    the terms of the entries that reach it.
-
-    Each distinct J gets its up-set once per call: the pairs (degree K,
-    J + K) over the window labels J + K, the label objects taken from
-    ``labels``.  An entry's rows are the products of its slots' up-sets
-    whose K have total degree at most max_degree - degree(I), built slot by
-    slot, so no row is made and then dropped.
+    ``entries`` are ((creation, least row), payload) pairs.  Each distinct
+    label J gets its up-set once per call: the pairs (degree K, J + K) over
+    the window labels J + K, the label objects taken from ``labels``.  An
+    entry's rows are the products of its labels' up-sets whose K have total
+    degree at most max_degree - degree(creation), built slot by slot, so no
+    row is made and then dropped; none if the caps refuse the creation.
     """
     ups: dict[MultiIndex, list] = {}
-    reach: dict[tuple[MultiIndex, ...], dict[EntryKey, Scalar]] = defaultdict(dict)
-    for entry, coeff in family.terms.items():
+    reach: dict[tuple[MultiIndex, ...], dict] = defaultdict(dict)
+    for entry, payload in entries:
         creation, annihilations = entry
         if not caps.admits(creation):
             continue
@@ -406,7 +399,7 @@ def _reachable_rows(family: KernelFamily, caps: TruncationCaps, labels: Collecti
                 ups[j] = [(a.degree - j.degree, a) for a in labels if binomial_product(a, j)]
             rows = [(row + (a,), left - k) for row, left in rows for k, a in ups[j] if k <= left]
         for row, _ in rows:
-            reach[row][entry] = coeff
+            reach[row][entry] = payload
     return reach
 
 
@@ -422,10 +415,12 @@ def table_from_kernel(family: KernelFamily, caps: TruncationCaps) -> BasisAction
     (I is, the K_j lie on window modes, and the degrees add up to at most
     max_degree), so nothing is truncated, and for in-window arguments
     ``apply_table(table, args) == truncate(apply_kernel(family, args), caps)``.
+    These are the rows of ``_reachable_rows`` with each entry its own least
+    row, as ``table_coboundary`` reads them for the least rows of dX.
     """
     vectors = {a: FockVector.basis(a) for a in basis_labels(caps)}
     action: dict[tuple[MultiIndex, ...], FockVector] = {}
-    for row, entries in _reachable_rows(family, caps, vectors).items():
+    for row, entries in _reachable_rows(family.terms.items(), caps, vectors).items():
         value = apply_kernel(family._like(entries), [vectors[a] for a in row])
         if value:
             action[row] = value
