@@ -59,6 +59,18 @@ def _add_term(acc: dict, key, value) -> None:
         del acc[key]
 
 
+def _sub_term(acc: dict, key, value) -> None:
+    """Subtract value from acc[key] in place, as ``_add_term`` adds: the key
+    is dropped when the difference is zero, and no negated copy of value is
+    built unless the key is absent."""
+    prev = acc.get(key)
+    total = -value if prev is None else prev - value
+    if total:
+        acc[key] = total
+    elif prev is not None:
+        del acc[key]
+
+
 _new = object.__new__
 _set = object.__setattr__
 

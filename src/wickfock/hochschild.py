@@ -20,10 +20,11 @@ Two realizations are provided and must agree:
   from a table of its values that lives for one coboundary call, each tuple
   evaluated once through ``apply_kernel``.  Each concatenation of two labels
   is merged once per process (``MultiIndex.concat`` keeps the results beside
-  its intern table), and the r + 2 terms of a row are added into one
-  label-keyed map, the row's value.  ``_delta_table`` is that tabulator, for
-  the window (``table_coboundary``) and for each column of a stratum or block
-  matrix (``coboundary_matrix``).
+  its intern table), and the r + 2 terms of a row go into one label-keyed
+  map, the row's value, a term of sign -1 subtracted in place; a row whose
+  terms cancel stores nothing.  ``_delta_table`` is that tabulator, one loop
+  over its rows, for the window (``table_coboundary``) and for each column
+  of a stratum or block matrix (``coboundary_matrix``).
 
 The table route has one row rule, the least rows of one entry's coboundary
 (``_delta_shapes``): the entry's slots with one slot J_i replaced by a pair
@@ -81,13 +82,12 @@ from functools import lru_cache
 
 from .errors import ComplexInconsistencyError, TruncationError
 from .expansion import extract_kernels
-from .fock import FockVector, TruncationCaps, _add_term
+from .fock import FockVector, TruncationCaps, _add_term, _sub_term, truncate
 from .multiindex import VACUUM, MultiIndex, binomial_product, indices_of_degree
 from .operators import (
     BasisActionTable,
     KernelFamily,
     _reachable_rows,
-    _tabulate,
     apply_kernel,
     basis_labels,
 )
@@ -150,36 +150,56 @@ def _delta_shapes(slots: tuple) -> dict:
 
 def _delta_table(family: KernelFamily, caps: TruncationCaps, rows) -> BasisActionTable:
     """The coboundary of ``family`` on ``rows`` by the defining alternating
-    sum, truncated to caps, memoizing for the call X's terms on each label
-    tuple (one ``apply_kernel`` call each); merged labels come from
+    sum, truncated to caps, in one loop over the rows.  X's terms on each
+    label tuple are memoized for the call, from one ``apply_kernel`` call on
+    basis vectors built once per label; merged labels come from
     ``MultiIndex.concat``'s process-wide memo.  A term of sign 1 is added
-    as it is, of sign -1 negated, any other one times its sign."""
+    into the row's map, of sign -1 subtracted in place (``_sub_term``), any
+    other one added times its sign; a row whose sum cancels builds no vector.
+    """
     r = family.arity
-    signs = [_term_sign(i) for i in range(r + 2)]
-    values = {}  # label tuple -> X's terms
+    first, *middle, last = (
+        _add_term if s == 1 else _sub_term if s == -1
+        else lambda acc, k, c, s=s: _add_term(acc, k, c * s)
+        for s in map(_term_sign, range(r + 2))
+    )
+    values: dict = {}  # label tuple -> X's terms
+    vectors: dict = {}  # label -> its basis vector
 
-    def value_of(args: tuple):
-        value = values.get(args)
-        if value is None:
-            x = apply_kernel(family, [FockVector.basis(a) for a in args])
-            value = values[args] = x.terms.items()
-        return value
+    def evaluate(args: tuple):
+        for a in args:
+            if a not in vectors:
+                vectors[a] = FockVector.basis(a)
+        x = values[args] = apply_kernel(family, [vectors[a] for a in args]).terms.items()
+        return x
 
-    def delta(u: tuple) -> FockVector:
+    action: dict = {}
+    for u in rows:
         acc: dict = {}
-        s = signs[0]
-        for k, c in value_of(u[1:]):  # u_1 X(u_2, ..., u_{r+1})
-            _add_term(acc, u[0].concat(k), c if s == 1 else -c if s == -1 else c * s)
-        for i in range(1, r + 1):  # X(..., u_i u_{i+1}, ...)
-            s = signs[i]
-            for k, c in value_of(u[: i - 1] + (u[i - 1].concat(u[i]),) + u[i + 1 :]):
-                _add_term(acc, k, c if s == 1 else -c if s == -1 else c * s)
-        s = signs[r + 1]
-        for k, c in value_of(u[:r]):  # X(u_1, ..., u_r) u_{r+1}
-            _add_term(acc, k.concat(u[r]), c if s == 1 else -c if s == -1 else c * s)
-        return FockVector._raw(acc)
-
-    return _tabulate(r + 1, caps, rows, delta)
+        head, args = u[0], u[1:]  # u_1 X(u_2, ..., u_{r+1})
+        x = values.get(args)
+        if x is None:  # not ``or``: X may be zero on args
+            x = evaluate(args)
+        for k, c in x:
+            first(acc, head.concat(k), c)
+        for i, add in enumerate(middle, 1):  # X(..., u_i u_{i+1}, ...)
+            args = u[: i - 1] + (u[i - 1].concat(u[i]),) + u[i + 1 :]
+            x = values.get(args)
+            if x is None:
+                x = evaluate(args)
+            for k, c in x:
+                add(acc, k, c)
+        tail, args = u[r], u[:r]  # X(u_1, ..., u_r) u_{r+1}
+        x = values.get(args)
+        if x is None:
+            x = evaluate(args)
+        for k, c in x:
+            last(acc, k.concat(tail), c)
+        if acc:
+            value = truncate(FockVector._raw(acc), caps)
+            if value.terms:
+                action[u] = value
+    return BasisActionTable._raw(r + 1, caps, action)
 
 
 def table_coboundary(cochain: Cochain) -> BasisActionTable:

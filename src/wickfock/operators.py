@@ -21,7 +21,7 @@ argument label tuples to values.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import ArityError, TruncationError
 from .fock import (
@@ -31,7 +31,6 @@ from .fock import (
     _new,
     _set,
     _SparseMap,
-    truncate,
     wick_product,
 )
 from .multiindex import MultiIndex, binomial_product, indices_up_to
@@ -361,19 +360,6 @@ class BasisActionTable(_SparseMap):
 def basis_labels(caps: TruncationCaps) -> list[MultiIndex]:
     """All basis labels admitted by the caps, in lexicographic order."""
     return indices_up_to(caps.max_degree, range(caps.max_mode))
-
-
-def _tabulate(
-    arity: int, caps: TruncationCaps, rows: Iterable, value_of: Callable
-) -> BasisActionTable:
-    """The table of the nonzero values of value_of over rows, truncated to
-    caps; rows must be arity-tuples of labels the caps admit (unchecked)."""
-    action: dict[tuple[MultiIndex, ...], FockVector] = {}
-    for row in rows:
-        value = truncate(value_of(row), caps)
-        if value:
-            action[row] = value
-    return BasisActionTable._raw(arity, caps, action)
 
 
 def _reachable_rows(entries: Iterable, caps: TruncationCaps, labels: Collection) -> dict:

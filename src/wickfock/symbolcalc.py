@@ -40,6 +40,7 @@ from .fock import (
     _new,
     _set,
     _SparseMap,
+    _sub_term,
     coherent,
     pairing,
 )
@@ -285,9 +286,10 @@ def reduced_symbol(
 
     Sparse triangular division by E = ``exp_bracket_poly(arity, caps)``, 1
     plus terms that raise the output degree: level by level upward, what is
-    left of a level is quotient, and its products with E - 1 leave the levels
-    above.  It equals ``poly.mul(exp_bracket_poly(..., negate=True), caps)``
-    at a cost of |quotient| x |E|; E comes sorted by output degree.
+    left of a level is quotient, and its products with E - 1 are subtracted
+    in place (``_sub_term``) from the levels above.  It equals
+    ``poly.mul(exp_bracket_poly(..., negate=True), caps)`` at a cost of
+    |quotient| x |E|; E comes sorted by output degree.
 
     ``caps`` defaults to the caps the polynomial was built with.  For
     polynomials of tables generated by a kernel family inside the window,
@@ -320,5 +322,5 @@ def reduced_symbol(
     tail = list(series.terms.items())[1:]
     quotient = (term for level in levels for term in level.items())
     for key, value in _products(quotient, tail, bound, top):
-        _add_term(levels[key[1].degree], key, -value)
+        _sub_term(levels[key[1].degree], key, value)
     return SymbolPolynomial._raw(poly.arity, dict(kv for lv in levels for kv in lv.items()), caps)

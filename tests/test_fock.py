@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wickfock.checks import rand_fock, rand_multiindex, rand_test_vector
 from wickfock.errors import ArityError
@@ -9,6 +11,8 @@ from wickfock.fock import (
     FockVector,
     TestVector,
     TruncationCaps,
+    _add_term,
+    _sub_term,
     coherent,
     norm_squared,
     pairing,
@@ -287,3 +291,32 @@ def test_json_round_trips():
     # numerator and denominator longer than Python's 4300-digit int-str limit
     long = e(mi([(0, 1)]), Scalar(Fraction(10**4400 + 1, 3**9100), -(7**5200)))
     assert FockVector.from_json(long.to_json()) == long
+
+
+SCALARS = st.builds(Scalar, st.fractions(-3, 3, max_denominator=4), st.integers(-2, 2))
+
+
+@given(
+    st.dictionaries(st.integers(0, 4), SCALARS.filter(bool), max_size=5),
+    st.integers(0, 4),
+    SCALARS,
+    st.booleans(),
+)
+@example({1: Scalar(2), 2: Scalar(0, 1)}, 1, Scalar(2), False)  # cancels, key dropped
+@example({1: Scalar(2)}, 3, ZERO, False)  # zero from an absent key stores nothing
+@example({1: Scalar(2)}, 1, ZERO, False)  # zero from a present key changes nothing
+def test_sub_term_is_add_term_of_the_negation(acc, key, value, cancel):
+    """Subtracting in place leaves the map adding the negation leaves, keys
+    in the same order, never stores a zero, and drops a key that cancels."""
+    if cancel and key in acc:
+        value = acc[key]
+    before, expected = dict(acc), dict(acc)
+    _add_term(expected, key, -value)
+    _sub_term(acc, key, value)
+    assert acc == expected
+    assert list(acc) == list(expected)
+    assert all(acc.values())
+    assert (key in acc) == (before.get(key, ZERO) != value)
+    assert {k: v for k, v in acc.items() if k != key} == {
+        k: v for k, v in before.items() if k != key
+    }

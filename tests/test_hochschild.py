@@ -34,12 +34,13 @@ from wickfock.multiindex import VACUUM, MultiIndex, binomial_product, indices_of
 from wickfock.operators import (
     BasisActionTable,
     KernelFamily,
-    _tabulate,
     apply_kernel,
     basis_labels,
     table_from_kernel,
 )
 from wickfock.scalars import ONE, ZERO, Scalar
+
+from table_oracle import _tabulate
 
 mi = MultiIndex
 
@@ -334,6 +335,28 @@ def test_table_coboundary_evaluates_each_argument_once(monkeypatch, family):
     assert not table.is_zero()
     assert len(calls) == len(_arguments_read(rows))
     assert {labels for _, labels in calls} == _arguments_read(rows)
+
+
+@pytest.mark.parametrize("family", ONE_STRATUM_FAMILIES, ids=["arity1", "arity2"])
+def test_table_coboundary_builds_each_label_vector_once(monkeypatch, family):
+    """One call builds one basis vector per distinct label among the tuples
+    X is read on, not one per label of every ``apply_kernel`` call."""
+    [(l, m)] = family.strata()
+    caps = TruncationCaps(2, l + m + family.arity + 1)
+    calls = _count_kernel_calls(monkeypatch)
+    real, built = FockVector.basis, Counter()
+
+    def counting(index, coeff=ONE):
+        built[index] += 1
+        return real(index, coeff)
+
+    monkeypatch.setattr(FockVector, "basis", counting)
+    table_coboundary(Cochain.from_kernels(family, caps))
+    read = {a for _, labels in calls for a in labels}
+    # an arity-1 tuple is one label; at arity 2 labels repeat across tuples
+    assert family.arity == 1 or sum(len(labels) for _, labels in calls) > len(read)
+    assert sum(built.values()) == len(read)
+    assert set(built) == read
 
 
 def test_table_coboundary_applies_the_sign_hook_to_every_term(monkeypatch):

@@ -30,7 +30,6 @@ from wickfock.multiindex import VACUUM, MultiIndex, binomial_product, indices_up
 from wickfock.operators import (
     BasisActionTable,
     KernelFamily,
-    _tabulate,
     annihilate_by,
     apply_annihilation,
     apply_creation,
@@ -41,6 +40,8 @@ from wickfock.operators import (
     table_from_kernel,
 )
 from wickfock.scalars import ONE, Scalar
+
+from table_oracle import _tabulate
 
 mi = MultiIndex
 e = FockVector.basis
