@@ -79,14 +79,19 @@ def _write_json(obj, write) -> None:
     each top-level value, so no string holds the whole output.  json's own
     encoder takes its slow pure-Python path whenever ``indent`` is set; this
     one renders each list of plain ints once per (values, indent) for the call,
-    since multi-index pairs such as ``[0, 2]`` repeat throughout a basis.
-    Types are tested as json tests them, so subclasses render as their base,
-    in the order of their frequency in the output (lists, dicts, strings), and
-    a dict's string values are written with their keys.  A plain int is
-    written by ``int.__repr__``, as json writes it; other leaves, bools and
-    int subclasses among them, go through ``json.dumps``.
+    such as each block's ``M``, and, below the top two levels, each other tuple
+    once per (identity, indent), since labels are interned tuples
+    (``MultiIndex.to_json``) that repeat throughout a basis.  That memo keeps
+    each such tuple alive until the call returns, so no id is reused, and a
+    fresh tuple costs one memo entry.  Types are tested as json tests them, so
+    subclasses render as their base, in the order of their frequency in the
+    output (lists, dicts, strings), and a dict's string values are written
+    with their keys.  A plain int is written by ``int.__repr__``, as json
+    writes it; other leaves, bools and int subclasses among them, go through
+    ``json.dumps``.
     """
-    memo: dict = {}
+    memo: dict = {}  # (int values, indent) -> text
+    shared: dict = {}  # (id, indent) -> (tuple, text), kept alive for the call
     out: list = []
     append = out.append
 
@@ -103,6 +108,15 @@ def _write_json(obj, write) -> None:
                     text = "[" + inner + ("," + inner).join(map(json.dumps, o)) + nl + "]"
                     memo[key] = text
                 append(text)
+            elif depth > 1 and isinstance(o, tuple):
+                key = (id(o), nl)
+                hit = shared.get(key)
+                if hit is None:
+                    start = len(out)
+                    render(list(o), nl, depth)
+                    shared[key] = (o, "".join(out[start:]))
+                else:
+                    append(hit[1])
             else:
                 inner = nl + "  "
                 sep = "[" + inner

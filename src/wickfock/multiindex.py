@@ -201,8 +201,11 @@ class MultiIndex:
 
     # -- serialization --------------------------------------------------------
 
-    def to_json(self) -> list:
-        return [[mode, mult] for mode, mult in self.pairs]
+    def to_json(self) -> tuple:
+        """The interned ``pairs`` themselves, the same tuple on every call,
+        which json renders as ``[[mode, mult], ...]`` (the vacuum as ``[]``);
+        the CLI writer renders each one once per indent."""
+        return self.pairs
 
     @classmethod
     def from_json(cls, data: list) -> "MultiIndex":

@@ -436,6 +436,32 @@ def test_writer_handles_non_string_keys_as_json_does(obj):
         assert _written(obj) == expected
 
 
+def test_writer_renders_a_shared_tuple_once_per_identity_and_indent():
+    # One tuple object at depths 1 (twice) to 5, beside an equal but
+    # distinct tuple, and (1,) beside (True,) in both orders.  A memo keyed
+    # by value cannot hash t (it holds a list), one shared with the int-list
+    # memo would print (True,) as [1], and one at depth 1 would store t's
+    # text after its pieces were flushed.
+    pair = (4, 5)
+    t = (True, [1, [2, (3,)]], {"k": (), "v": [pair]}, ())
+    twin = (True, [1, [2, (3,)]], {"k": (), "v": [pair]}, ())
+    obj = [
+        t,
+        [t, twin, (1,), (True,)],
+        {"a": [t, (True,), (1,), twin]},
+        [[[t, (1,)]], [(True,), pair]],
+        {"b": [[twin, [t, (True,), (1,)]]]},
+        t,
+    ]
+    pieces = []
+    _write_json(obj, pieces.append)
+    assert "".join(pieces) == json.dumps(obj, indent=2)
+    # A piece ends after each element of each top-level value (so t at
+    # depth 1 is split, not memoized), and each top-level value's closing
+    # bracket, like the whole output's, is a piece of its own.
+    assert len(pieces) == sum(len(x) + 1 for x in obj) + 1
+
+
 def test_writer_pieces_hold_one_element_of_a_top_level_value():
     obj = {"n": 3, "items": [{"x": [0, 1]}, {"x": [0, 2]}, {"x": [0, 3]}]}
     pieces = []

@@ -1,11 +1,12 @@
 import copy
 import itertools
+import json
 import math
 import pickle
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wickfock.multiindex import (
@@ -211,6 +212,18 @@ def test_label_enumeration_is_shared_safely():
 @given(indices)
 def test_json_round_trip(a):
     assert MultiIndex.from_json(a.to_json()) == a
+
+
+@given(indices)
+@example(VACUUM)
+@example(MultiIndex([(0, 1), (2, 3), (5, 1)]))
+def test_json_form_is_the_interned_pairs(a):
+    # The writer renders a label once per indent by its identity, so every
+    # call must hand out the one stored tuple, not a fresh list.
+    assert a.to_json() is a.pairs
+    assert a.to_json() is a.to_json()
+    assert MultiIndex.from_json(a.to_json()) is a
+    assert MultiIndex.from_json(json.loads(json.dumps(a.to_json()))) is a
 
 
 def test_ordering_is_lexicographic_on_pairs():
